@@ -67,10 +67,6 @@ class RaSpec:
         return self._atoms
 
     @property
-    def identity(self) -> Atom:
-        return self._atoms[0]
-
-    @property
     def diversity_atoms(self) -> tuple[Atom, ...]:
         return self._atoms[1:]
 

@@ -15,7 +15,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from .algebra import RaSpec, SpecError, builtin, parse_spec
+from .algebra import RaSpec, builtin, parse_spec
 from .comer import SchemeError, build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
 from .groups import ElementSet, GroupSpec
@@ -138,14 +138,6 @@ def _complete_for_spec(part: ColoredPartition, spec: RaSpec) -> ColoredPartition
 # -- output helpers ------------------------------------------------------------
 
 
-def _emit(payload: dict, fmt: str, table_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in table_lines:
-            print(line)
-
-
 def _report_table(report_dict: dict) -> list[str]:
     lines = [f"verdict: {report_dict['verdict']}  (method: {report_dict['method']})"]
     for pair in report_dict["pairs"]:
@@ -168,9 +160,10 @@ def _effective_seed(value: int | None) -> int:
 
 
 # -- subcommands ----------------------------------------------------------------
+# Each returns (JSON payload, table lines, exit code); only main writes stdout.
 
 
-def _cmd_show_algebra(args) -> int:
+def _cmd_show_algebra(args) -> tuple[dict, list[str], int]:
     spec = _load_spec(args.spec)
     profiles = []
     names = [a.name for a in spec.diversity_atoms]
@@ -193,11 +186,10 @@ def _cmd_show_algebra(args) -> int:
         zero = " + {0}" if p["include_zero"] else ""
         lines.append(f"  {p['pair'][0]}+{p['pair'][1]} = "
                      f"{'+'.join(p['atoms']) or '(empty)'}{zero}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_verify_group_rep(args) -> int:
+def _cmd_verify_group_rep(args) -> tuple[dict, list[str], int]:
     spec = _load_spec(args.spec)
     group = parse_group_flag(args.group) if args.group else None
     part = _complete_for_spec(load_partition(args.partition, group), spec)
@@ -215,11 +207,10 @@ def _cmd_verify_group_rep(args) -> int:
     lines = [f"spec {spec.label} over {part.group.describe()}"]
     for name, rep in reports.items():
         lines.extend(_report_table(rep.to_dict()))
-    _emit(payload, args.format, lines)
-    return EXIT_OK if accepted else EXIT_REJECT
+    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
 
 
-def _cmd_comer(args) -> int:
+def _cmd_comer(args) -> tuple[dict, list[str], int]:
     if args.p is None and not args.sweep_max_p:
         raise StructuralError("either --p or --sweep-max-p is required")
     if args.sweep_max_p:
@@ -230,8 +221,7 @@ def _cmd_comer(args) -> int:
                     if "allowed" in r else
                     f"ordered-cycles={r['allowed_ordered']} (orientation-dependent)")
                  for r in rows]
-        _emit(payload, args.format, lines)
-        return EXIT_OK
+        return payload, lines, EXIT_OK
     scheme = build_scheme(args.p, args.m, args.g)
     payload = {"p": scheme.p, "m": scheme.m, "g": scheme.generator,
                "symmetric": scheme.symmetric,
@@ -252,11 +242,10 @@ def _cmd_comer(args) -> int:
         payload["allowed_ordered"] = [list(t) for t in ordered]
         payload["orientation_dependent"] = True
         lines.append(f"orientation-dependent structure; {len(ordered)} ordered cycles")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_build_59(args) -> int:
+def _cmd_build_59(args) -> tuple[dict, list[str], int]:
     scheme = build_scheme(args.p, args.m, args.g)
     part = build_59_65_partition(scheme)
     spec = builtin("59_65")
@@ -278,11 +267,10 @@ def _cmd_build_59(args) -> int:
     lines.append(f"bruteforce agrees: {brute.verdict}")
     if out_path:
         lines.append(f"partition written to {out_path}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK if accepted else EXIT_REJECT
+    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
 
 
-def _cmd_johnson_bound(args) -> int:
+def _cmd_johnson_bound(args) -> tuple[dict, list[str], int]:
     rows = [probability_bound(n).to_dict() for n in range(3, args.max_n + 1)]
     first = next((r["n"] for r in rows if r["below_one"]), None)
     if first is None:
@@ -293,11 +281,10 @@ def _cmd_johnson_bound(args) -> int:
         lines.append(f"{r['n']:>4} {r['binomial']:>16} {r['log10_bound']:>14.4f} "
                      f"{str(r['below_one']).lower()}")
     lines.append(f"first n with bound < 1: {first}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_johnson_mc(args) -> int:
+def _cmd_johnson_mc(args) -> tuple[dict, list[str], int]:
     seed = _effective_seed(args.seed)
     report = mc_trial(args.n, args.trials, seed, max_points=args.max_points)
     payload = report.to_dict()
@@ -307,11 +294,10 @@ def _cmd_johnson_mc(args) -> int:
         d = rec.to_dict()
         lines.append(f"  trial {d['trial']}: {d['verdict']} "
                      f"({d['violation_count']} violations)")
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_search_gf2(args) -> int:
+def _cmd_search_gf2(args) -> tuple[dict, list[str], int]:
     seed = _effective_seed(args.seed)
     initial = ()
     if args.seed_fixture:
@@ -328,13 +314,12 @@ def _cmd_search_gf2(args) -> int:
              f"(stopped by {outcome.stopped_by})",
              f"basis: {' '.join(payload['basis']) or '(trivial)'}",
              f"verdict: {outcome.report.verdict}"]
-    _emit(payload, args.format, lines)
     accepted = outcome.report.accepted and (
         config.target_order is None or outcome.reached_target)
-    return EXIT_OK if accepted else EXIT_REJECT
+    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
 
 
-def _cmd_validate_fixture(args) -> int:
+def _cmd_validate_fixture(args) -> tuple[dict, list[str], int]:
     lines_in = Path(args.path).read_text().splitlines()
     result = validate_fixture(lines_in, k=args.k, t=args.t)
     payload = result.to_dict()
@@ -348,8 +333,7 @@ def _cmd_validate_fixture(args) -> int:
              f"  b-clique classes: {result.class_count} of size {result.class_size} "
              f"(ok: {result.classes_ok})",
              f"verdict: {'accept' if result.passed else 'reject'}"]
-    _emit(payload, args.format, lines)
-    return EXIT_OK if result.passed else EXIT_REJECT
+    return payload, lines, EXIT_OK if result.passed else EXIT_REJECT
 
 
 # -- parser -----------------------------------------------------------------------
@@ -429,13 +413,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (StructuralError, SchemeError, SpecError) as exc:
+        payload, lines, code = args.func(args)
+        if args.format == "json":
+            lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        for line in lines:
+            print(line)
+    except (ValueError, OSError) as exc:  # StructuralError, SchemeError, SpecError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -70,7 +70,8 @@ def build_scheme(p: int, m: int, g: int | None = None) -> CosetScheme:
     generator = g if g is not None else primitive_root(p)
     symmetric = all(c.is_symmetric for c in cosets)
     # -1 = g^((p-1)/2) lies in X_0 iff m divides (p-1)/2; all-or-nothing
-    assert symmetric == (((p - 1) // m) % 2 == 0 or p == 2), "symmetry flag inconsistent"
+    if symmetric != (((p - 1) // m) % 2 == 0 or p == 2):
+        raise AssertionError("symmetry flag inconsistent")
 
     sums: dict[tuple[int, int], ElementSet] = {}
     for j in range(m):

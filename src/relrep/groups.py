@@ -304,9 +304,6 @@ class ElementSet:
             raise ValueError("element sets live in different groups")
         return bool(np.all(~self.mask | other.mask))
 
-    def issubset(self, other: "ElementSet") -> bool:
-        return self <= other
-
     def complement(self) -> "ElementSet":
         return ElementSet._wrap(self.group, ~self.mask)
 
@@ -463,10 +460,7 @@ def cyclotomic_cosets(p: int, m: int, g: int | None = None) -> list[ElementSet]:
 @lru_cache(maxsize=8)
 def hamming_weights(k: int) -> np.ndarray:
     """Popcounts of the indices 0 .. 2^k - 1."""
-    idx = np.arange(1 << k, dtype=np.uint32)
-    counts = np.zeros(idx.size, dtype=np.uint8)
-    for shift in range(k):
-        counts += ((idx >> np.uint32(shift)) & 1).astype(np.uint8)
+    counts = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))
     counts.setflags(write=False)
     return counts
 

@@ -182,17 +182,8 @@ def partition_count(universe_size: int) -> int:
     if universe_size % 3 != 0:
         raise ValueError(f"universe size {universe_size} is not divisible by 3")
     third = universe_size // 3
-    product = math.comb(universe_size, third) * math.comb(2 * third, third)
-    assert product % 2 == 0
-    return product // 2
-
-
-def _pairwise_meet_sizes(masks: np.ndarray, ground_size: int) -> np.ndarray:
-    inter = masks[:, None] & masks[None, :]
-    counts = np.zeros(inter.shape, dtype=np.uint8)
-    for shift in range(ground_size):
-        counts += ((inter >> np.uint32(shift)) & 1).astype(np.uint8)
-    return counts
+    # even because C(2t, t) is even for t >= 1
+    return math.comb(universe_size, third) * math.comb(2 * third, third) // 2
 
 
 def partition_coloring(u: JohnsonUniverse, part: EquitablePartition) -> EdgeColoring:
@@ -200,13 +191,14 @@ def partition_coloring(u: JohnsonUniverse, part: EquitablePartition) -> EdgeColo
     if part.assignment.size != u.size:
         raise ValueError("partition does not match universe size")
     names = (IDENTITY, ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET)
-    meets = _pairwise_meet_sizes(u.point_bitmasks, u.ground_size)
+    masks = u.point_bitmasks
+    meets = np.bitwise_count(masks[:, None] & masks[None, :])
     codes = np.full((u.size, u.size), names.index(ATOM_SMALL_MEET), dtype=np.int8)
     codes[meets >= 2] = names.index(ATOM_BIG_MEET)
     same = part.assignment[:, None] == part.assignment[None, :]
     codes[same] = names.index(ATOM_SAME_CLASS)
     np.fill_diagonal(codes, 0)
-    return EdgeColoring(names, codes, check=False)
+    return EdgeColoring(names, codes)
 
 
 @dataclass(frozen=True)

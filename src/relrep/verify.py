@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,14 +133,16 @@ class _Collector:
 
 
 class ColoredPartition:
-    """Diversity atom names assigned to symmetric subsets partitioning G minus 0."""
+    """Diversity atom names assigned to symmetric subsets partitioning G minus 0.
 
-    def __init__(self, group: GroupSpec, assignment: Mapping[str, ElementSet],
-                 check: bool = True):
+    Validated once, at construction; ``assignment`` is a read-only mapping,
+    so an instance stays valid for its whole life.
+    """
+
+    def __init__(self, group: GroupSpec, assignment: Mapping[str, ElementSet]):
         self.group = group
-        self.assignment = dict(assignment)
-        if check:
-            self.validate()
+        self.assignment = MappingProxyType(dict(assignment))
+        self.validate()
 
     def validate(self) -> None:
         cover = np.zeros(self.group.order, dtype=np.int32)
@@ -168,12 +171,6 @@ class ColoredPartition:
     def atom_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.assignment))
 
-    def set_for(self, name: str) -> ElementSet:
-        try:
-            return self.assignment[name]
-        except KeyError:
-            raise StructuralError(f"partition has no atom {name!r}") from None
-
     def __repr__(self) -> str:
         sizes = ", ".join(f"{n}:{len(s)}" for n, s in sorted(self.assignment.items()))
         return f"<ColoredPartition over {self.group.describe()} [{sizes}]>"
@@ -183,16 +180,15 @@ class EdgeColoring:
     """A total symmetric coloring of ordered point pairs by atom names.
 
     ``colors[x, y]`` is an index into ``atom_names``; code 0 must be the
-    identity and appears exactly on the diagonal.
+    identity and appears exactly on the diagonal.  Validated once, at
+    construction; ``colors`` is a read-only copy.
     """
 
-    def __init__(self, atom_names: Sequence[str], colors: np.ndarray, check: bool = True):
+    def __init__(self, atom_names: Sequence[str], colors: np.ndarray):
         self.atom_names = tuple(atom_names)
-        colors = np.asarray(colors)
-        self.colors = colors.copy()
+        self.colors = np.array(colors)
         self.colors.setflags(write=False)
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def point_count(self) -> int:
@@ -233,14 +229,13 @@ class EdgeColoring:
 
 def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
     """The coloring with points G and edge (x, y) colored by the atom of y - x."""
-    part.validate()
     group = part.group
     names = (IDENTITY,) + part.atom_names()
     code_of = np.zeros(group.order, dtype=np.int16)
     for code, name in enumerate(names[1:], start=1):
         code_of[part.assignment[name].mask] = code
     colors = code_of[group.difference_table()]
-    return EdgeColoring(names, colors, check=False)
+    return EdgeColoring(names, colors)
 
 
 def _check_atoms_match(spec: RaSpec, names: Sequence[str]) -> list[str]:
@@ -260,7 +255,6 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
     S_j + S_k equals the union of the profile atoms' sets, with 0 included
     exactly when j = k, and every atom is nonempty (faithfulness).
     """
-    part.validate()
     names = _check_atoms_match(spec, list(part.assignment))
     group = part.group
     collector = _Collector(early_exit, max_recorded)
@@ -282,9 +276,9 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
             profile_names = sorted(a.name for a in profile)
             actual = sumset(sets[j], sets[k])
             has_zero = 0 in actual
-            if sets[j] and sets[k]:
+            if sets[j] and sets[k] and has_zero != include_zero:
                 # structurally guaranteed; a failure here is a sumset bug
-                assert has_zero == include_zero, "zero membership inconsistent with structure"
+                raise AssertionError("zero membership inconsistent with structure")
             expected = np.zeros(group.order, dtype=bool)
             for name in profile_names:
                 expected |= sets[name].mask
@@ -333,7 +327,6 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     must color at least one edge (faithfulness).  Identity cycles need no
     check: z = x or z = y witnesses them on any well-formed coloring.
     """
-    coloring.validate()
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     collector = _Collector(early_exit, max_recorded)
@@ -343,14 +336,6 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     for name in names:
         if not masks[name].any():
             collector.add(EMPTY_ATOM, None, name)
-
-    witness_cache: dict[tuple[str, str], np.ndarray] = {}
-
-    def witnessed(j: str, k: str) -> np.ndarray:
-        key = (j, k) if j <= k else (k, j)
-        if key not in witness_cache:
-            witness_cache[key] = (floats[key[0]] @ floats[key[1]]) > 0.5
-        return witness_cache[key]
 
     def edge_labels(bad: np.ndarray, cap: int):
         for x, y in islice(np.argwhere(bad), cap):
@@ -371,7 +356,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             j, k = names[j_pos], names[k_pos]
             profile, include_zero = spec.required_sumset_profile(j, k)
             profile_names = sorted(a.name for a in profile)
-            reach = witnessed(j, k)
+            reach = (floats[j] @ floats[k]) > 0.5
             actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
             has_zero = bool(np.diagonal(reach).any())
             ok = True

@@ -269,3 +269,30 @@ def test_table_output_is_default(capsys):
     code, out, _ = run_cli(capsys, "show-algebra", "52_65")
     assert code == EXIT_OK
     assert "allowed cycles:" in out
+
+
+_H52 = str(FIXTURES / "h52_k10.txt")
+
+
+@pytest.mark.parametrize("argv,key_line", [
+    (("show-algebra", "52_65"), "forbidden cycles: abb bbc ccc"),
+    (("verify-group-rep", str(FIXTURES / "comer113_partition.txt"), "--spec", "52_65"),
+     "verdict: reject  (method: sumsets)"),
+    (("comer", "--p", "113", "--m", "8"),
+     "scheme p=113 m=8 g=3 symmetric=True coset size 14"),
+    (("comer", "--m", "2", "--sweep-max-p", "20"),
+     "p=5 m=2 g=2 symmetric=True allowed=2 forbidden=2"),
+    (("build-59",), "bruteforce agrees: accept"),
+    (("johnson-bound", "--max-n", "16"), "first n with bound < 1: 13"),
+    (("johnson-mc", "--n", "5", "--trials", "1", "--seed", "9"),
+     "johnson mc: n=5 universe=462 classes of 154, seed=9"),
+    (("search-gf2", "--k", "10", "--seed", "12", "--restarts", "2",
+      "--target-order", "64", "--seed-fixture", _H52), "verdict: accept"),
+    (("validate-fixture", _H52), "  b-clique classes: 16 of size 64 (ok: True)"),
+])
+def test_table_output_matches_json_exit_code(capsys, argv, key_line):
+    json_code, _, _ = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, "--format", "table", *argv)
+    assert code == json_code
+    assert out.strip()
+    assert key_line in out.splitlines()

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_symmetric_partition
 from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
-                    StructuralError, builtin_52_65, builtin_59_65,
+                    RaSpec, StructuralError, builtin_52_65, builtin_59_65,
                     build_59_65_partition, build_scheme, cayley_coloring,
                     equivalence_classes, verify_bruteforce, verify_sumsets)
 from relrep.verify import EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS
@@ -48,6 +48,12 @@ def test_partition_rejects_asymmetric_set():
     with pytest.raises(StructuralError, match="symmetric"):
         ColoredPartition(g, {"a": ElementSet.from_indices(g, [1, 2]),
                              "b": ElementSet.from_indices(g, [3, 4])})
+
+
+def test_partition_assignment_is_read_only():
+    part = _z5_partition()
+    with pytest.raises(TypeError):
+        part.assignment["a"] = part.assignment["b"]
 
 
 def test_verify_rejects_atom_mismatch():
@@ -186,6 +192,23 @@ def test_bruteforce_counts_forbidden_triangles():
     # recorded violations carry an explicit triangle
     triangle = next(v for v in report.violations if v.kind == FORBIDDEN_REALIZED)
     assert triangle.cycle == ("b", "b", "b")
+
+
+def test_bruteforce_triangles_follow_spec_atom_order():
+    # spec lists y before x; the path 0 -y- 1 -x- 2 is witnessed only in that order
+    spec = RaSpec(("y", "x", "z"), ["xxx", "yyy", "zzz"])
+    names = ("1'", "x", "y", "z")
+    colors = np.array([[0, 2, 3, 3],
+                       [2, 0, 1, 3],
+                       [3, 1, 0, 3],
+                       [3, 3, 3, 0]])
+    report = verify_bruteforce(spec, EdgeColoring(names, colors), early_exit=False)
+    triangles = [v for v in report.violations if v.kind == FORBIDDEN_REALIZED]
+    assert triangles
+    for v in triangles:
+        i, j, k = (names.index(a) for a in v.cycle)
+        x, z, y = (int(t) for t in v.where.strip("()").split(","))
+        assert (colors[x, y], colors[x, z], colors[z, y]) == (i, j, k)
 
 
 # -- oracle equivalence and symmetry ---------------------------------------------------
