@@ -56,11 +56,14 @@ def format_group_flag(group: GroupSpec) -> str:
     return "x".join(str(n) for n in group.moduli)
 
 
-def load_partition(path, group: GroupSpec | None = None) -> ColoredPartition:
+def load_partition(path, group: GroupSpec | None = None,
+                   spec: RaSpec | None = None) -> ColoredPartition:
     """Read an ``atom element`` partition file (optional ``group:`` directive).
 
     Structural problems (gap, overlap, zero assigned, asymmetric set, group
-    mismatch) raise StructuralError.
+    mismatch) raise StructuralError, as do atom names a given spec lacks.  Spec
+    atoms the file never mentions get empty sets: faithfulness then fails at
+    verification time, which is a verdict, not a structural error.
     """
     text = Path(path).read_text()
     file_group: GroupSpec | None = None
@@ -97,6 +100,13 @@ def load_partition(path, group: GroupSpec | None = None) -> ColoredPartition:
                 raise StructuralError(
                     f"element {element_text} is assigned more than once in {path}")
         assignment[atom].add(element)
+    if spec is not None:
+        spec_names = [a.name for a in spec.diversity_atoms]
+        unknown = sorted(set(assignment) - set(spec_names))
+        if unknown:
+            raise StructuralError(f"partition names atoms {unknown} that "
+                                  f"{spec.label or 'the spec'} does not have")
+        assignment.update((name, set()) for name in spec_names if name not in assignment)
     sets = {name: ElementSet.from_indices(group, members)
             for name, members in assignment.items()}
     return ColoredPartition(group, sets)  # validates gap/zero/symmetry
@@ -114,25 +124,6 @@ def _load_spec(ref: str) -> RaSpec:
     if ref in ("52_65", "59_65"):
         return builtin(ref)
     return parse_spec(Path(ref).read_text())
-
-
-def _complete_for_spec(part: ColoredPartition, spec: RaSpec) -> ColoredPartition:
-    """Fill in empty sets for spec atoms a partition file never mentioned.
-
-    A file may legitimately leave an atom unused (faithfulness then fails at
-    verification time, which is a verdict, not a structural error); unknown
-    atom names are still structural.
-    """
-    spec_names = {a.name for a in spec.diversity_atoms}
-    unknown = set(part.assignment) - spec_names
-    if unknown:
-        raise StructuralError(
-            f"partition names atoms {sorted(unknown)} that {spec.label or 'the spec'} "
-            f"does not have")
-    assignment = dict(part.assignment)
-    for name in spec_names - set(assignment):
-        assignment[name] = ElementSet.empty(part.group)
-    return ColoredPartition(part.group, assignment)
 
 
 # -- output helpers ------------------------------------------------------------
@@ -192,7 +183,7 @@ def _cmd_show_algebra(args) -> tuple[dict, list[str], int]:
 def _cmd_verify_group_rep(args) -> tuple[dict, list[str], int]:
     spec = _load_spec(args.spec)
     group = parse_group_flag(args.group) if args.group else None
-    part = _complete_for_spec(load_partition(args.partition, group), spec)
+    part = load_partition(args.partition, group, spec)
     reports = {}
     if args.method in ("sumsets", "both"):
         reports["sumsets"] = verify_sumsets(spec, part, early_exit=args.early_exit)
@@ -286,7 +277,7 @@ def _cmd_johnson_bound(args) -> tuple[dict, list[str], int]:
 
 def _cmd_johnson_mc(args) -> tuple[dict, list[str], int]:
     seed = _effective_seed(args.seed)
-    report = mc_trial(args.n, args.trials, seed, max_points=args.max_points)
+    report = mc_trial(args.n, args.trials, seed)
     payload = report.to_dict()
     lines = [f"johnson mc: n={report.n} universe={report.universe_size} "
              f"classes of {report.class_size}, seed={report.seed}"]
@@ -386,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, help="base seed (derived and echoed if omitted)")
-    p.add_argument("--max-points", type=int, default=10_000)
     p.set_defaults(func=_cmd_johnson_mc)
 
     p = sub.add_parser("search-gf2", help="randomized subgroup search over (Z/2)^k")

@@ -311,7 +311,6 @@ class SearchOutcome:
     restarts_run: int
     stats: list[RestartStat]
     stopped_by: str  # "target" | "restarts" | "time"
-    elapsed: float
 
     def to_dict(self) -> dict:
         group = GroupSpec.power(2, self.config.k)
@@ -393,11 +392,11 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     Each restart greedily extends a basis along a seeded candidate order
     (restart r uses the derived rng seed [seed, r]); optional backtracking
-    re-opens the most recent choices when stuck.  Stops early once some
-    restart reaches the target order.  The outcome always carries the full
-    verification report of the partition induced by the best H found.
-    Determinism: identical configs give identical outcomes, unless a
-    wall-clock time budget cuts a run short.
+    re-opens the most recent choices when stuck.  Stops early once some restart
+    reaches the target order, whether or not the partition it induces is
+    accepted.  The outcome always carries the full verification report of the
+    partition induced by the best H found.  Determinism: identical configs give
+    identical outcomes, unless a wall-clock time budget cuts a run short.
     """
     config = config.validated()
     pre = precheck(config.k, config.resolved_t)
@@ -444,5 +443,4 @@ def search(config: SearchConfig) -> SearchOutcome:
     reached_target = (config.target_order is not None
                       and winner.order >= config.target_order)
     return SearchOutcome(config, basis, winner.order, report, reached_target,
-                         completed, stats, stopped_by,
-                         time.monotonic() - began)
+                         completed, stats, stopped_by)

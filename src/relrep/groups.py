@@ -3,7 +3,7 @@
 Everything here works on exact boolean membership masks indexed by the
 mixed-radix encoding of group elements, which keeps sumsets, spans and coset
 computations both fast and bit-exact at the orders this library targets
-(default cap 2^20).
+(cap 2^20).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+# Not a memory limit: the int64 WHT sumset (_xor_convolution_counts) is exact up to here.
 DEFAULT_ORDER_CAP = 1 << 20
 
 
@@ -51,15 +52,15 @@ class GroupSpec:
     coordinate 0.  Instances are immutable and safe to share.
     """
 
-    def __init__(self, moduli: Sequence[int], order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, moduli: Sequence[int]):
         moduli = tuple(int(n) for n in moduli)
         if not moduli:
             raise ValueError("need at least one cyclic factor")
         if any(n < 2 for n in moduli):
             raise ValueError(f"moduli must all be >= 2, got {moduli}")
         order = math.prod(moduli)
-        if order > order_cap:
-            raise ValueError(f"group order {order} exceeds the dense-mask cap {order_cap}")
+        if order > DEFAULT_ORDER_CAP:
+            raise ValueError(f"group order {order} exceeds the dense-mask cap {DEFAULT_ORDER_CAP}")
         self.moduli = moduli
         self.order = order
         weights = [1] * len(moduli)
@@ -170,11 +171,8 @@ class GroupSpec:
         nd = mask.reshape(self.moduli)
         return np.roll(nd, self.decode(c), axis=tuple(range(self.rank))).ravel()
 
-    def difference_table(self, cell_cap: int = 1 << 26) -> np.ndarray:
+    def difference_table(self) -> np.ndarray:
         """order x order matrix D with D[x, y] = index of y - x."""
-        if self.order * self.order > cell_cap:
-            raise ValueError(
-                f"group of order {self.order} is too large to materialize a difference table")
         if self._is_two_power:
             idx = np.arange(self.order)
             return idx[None, :] ^ idx[:, None]

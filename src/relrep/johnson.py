@@ -17,9 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import IDENTITY, builtin_52_65
-from .verify import EdgeColoring, VerificationReport, verify_bruteforce
-
-MC_POINT_GUARD = 10_000
+from .verify import EdgeColoring, VerificationReport, check_coloring_memory, verify_bruteforce
 
 ATOM_SAME_CLASS = "b"
 ATOM_BIG_MEET = "a"
@@ -188,9 +186,10 @@ def partition_count(universe_size: int) -> int:
 
 def partition_coloring(u: JohnsonUniverse, part: EquitablePartition) -> EdgeColoring:
     """The edge coloring induced by classify over all point pairs."""
+    names = (IDENTITY, ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET)
+    check_coloring_memory(u.size, len(names) - 1)
     if part.assignment.size != u.size:
         raise ValueError("partition does not match universe size")
-    names = (IDENTITY, ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET)
     masks = u.point_bitmasks
     meets = np.bitwise_count(masks[:, None] & masks[None, :])
     codes = np.full((u.size, u.size), names.index(ATOM_SMALL_MEET), dtype=np.int8)
@@ -232,25 +231,21 @@ class McReport:
                 "records": [r.to_dict() for r in self.records]}
 
 
-def mc_trial(n: int, trials: int, seed: int, *,
-             max_points: int = MC_POINT_GUARD) -> McReport:
+def mc_trial(n: int, trials: int, seed: int) -> McReport:
     """Sample equitable partitions and brute-force verify each against 52_65.
 
     Trial t uses the derived seed (seed, t), so trials are independent and
-    the whole report is deterministic for a fixed base seed.  The point guard
-    keeps the O(N^3) witness checks at desk scale; raise max_points to
-    override, knowing the cost.
+    the whole report is deterministic for a fixed base seed.  A universe whose
+    coloring exceeds ``verify.MEMORY_BUDGET`` (n = 6 fits, n = 8 does not) raises
+    ``MemoryGuardError`` before its O(N) shuffle, 12 GB at n = 13, is drawn.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
     u = JohnsonUniverse(n)
     if u.size % 3 != 0:
         raise ValueError(f"universe size {u.size} is not divisible by 3")
-    if u.size > max_points:
-        raise ValueError(
-            f"universe size {u.size} exceeds the desk-scale guard {max_points} "
-            f"(override with max_points at O(N^3) cost)")
     spec = builtin_52_65()
+    check_coloring_memory(u.size, len(spec.diversity_atoms))
     records = []
     for t in range(trials):
         part = random_equitable_partition(u, (seed, t))

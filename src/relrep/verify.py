@@ -25,9 +25,27 @@ EMPTY_ATOM = "empty_atom"
 
 DEFAULT_VIOLATION_CAP = 100
 
+# The one limit on N^2 work.  Building and brute-force verifying an N-point,
+# A-atom coloring peaks near N^2 (9 A + 17) bytes, fitted to measured peak RSS:
+# a bool mask and a float64 copy per atom, the colors and one float64 product.
+MEMORY_BUDGET = 4 << 30
+
 
 class StructuralError(ValueError):
     """The candidate is malformed; distinct from a reject verdict."""
+
+
+class MemoryGuardError(ValueError):
+    """A coloring is too large to build and verify within MEMORY_BUDGET."""
+
+
+def check_coloring_memory(points: int, atoms: int) -> None:
+    """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
+    need = points * points * (9 * atoms + 17)
+    if need > MEMORY_BUDGET:
+        raise MemoryGuardError(
+            f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
+            f"{need} bytes to build and verify, over the {MEMORY_BUDGET}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -230,6 +248,7 @@ class EdgeColoring:
 def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
     """The coloring with points G and edge (x, y) colored by the atom of y - x."""
     group = part.group
+    check_coloring_memory(group.order, len(part.assignment))
     names = (IDENTITY,) + part.atom_names()
     code_of = np.zeros(group.order, dtype=np.int16)
     for code, name in enumerate(names[1:], start=1):

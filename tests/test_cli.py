@@ -228,6 +228,20 @@ def test_johnson_mc_rejects_n4(capsys):
     assert "divisible" in err
 
 
+def test_johnson_mc_memory_guard_exits_2(capsys):
+    code, out, err = run_cli(capsys, "johnson-mc", "--n", "8", "--trials", "1",
+                             "--seed", "0")
+    assert code == EXIT_ERROR and not out
+    assert "guard" in err
+
+
+def test_johnson_mc_has_no_max_points_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["johnson-mc", "--n", "5", "--trials", "1", "--seed", "0",
+              "--max-points", "5"])
+    assert exc.value.code == 2
+
+
 def test_search_gf2_deterministic_and_seeded(capsys):
     args = ("search-gf2", "--k", "10", "--seed", "12", "--restarts", "2",
             "--target-order", "64", "--seed-fixture", str(FIXTURES / "h52_k10.txt"))

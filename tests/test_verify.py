@@ -1,6 +1,8 @@
 """Partition structure, both verifiers, their agreement, and equivalence classes."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from helpers import random_symmetric_partition
 from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
                     RaSpec, StructuralError, builtin_52_65, builtin_59_65,
                     build_59_65_partition, build_scheme, cayley_coloring,
-                    equivalence_classes, verify_bruteforce, verify_sumsets)
-from relrep.verify import EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS
+                    JohnsonUniverse, equivalence_classes, verify_bruteforce,
+                    verify_sumsets, weight_class)
+from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
+                           MemoryGuardError, check_coloring_memory)
 
 
 def _z5_partition(a=(1, 4), b=(2, 3), c=()):
@@ -137,6 +141,32 @@ def test_cayley_coloring_single_atom():
     off = col.colors[~np.eye(5, dtype=bool)]
     assert (off == 1).all()
     assert (np.diagonal(col.colors) == 0).all()
+
+
+def test_cayley_coloring_refuses_over_budget_before_allocating():
+    g = GroupSpec.power(2, 14)
+    part = ColoredPartition(g, {"a": weight_class(g, 1, 4), "b": weight_class(g, 5, 9),
+                                "c": weight_class(g, 10, 14)})
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(MemoryGuardError, match="guard"):
+            cayley_coloring(part)
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < g.order * g.order // 100  # no N^2 array was allocated
+
+
+def test_memory_guard_admits_the_desk_scale_colorings():
+    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 2.9 GB
+    check_coloring_memory(JohnsonUniverse(6).size, 3)
+    with pytest.raises(MemoryGuardError, match="bytes"):
+        check_coloring_memory(8192, 6)  # the float64 copies scale with the atoms
+    with pytest.raises(MemoryGuardError, match="guard"):
+        check_coloring_memory(JohnsonUniverse(8).size, 3)
 
 
 def test_cayley_coloring_comer_membership():
