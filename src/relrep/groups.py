@@ -171,16 +171,18 @@ class GroupSpec:
         nd = mask.reshape(self.moduli)
         return np.roll(nd, self.decode(c), axis=tuple(range(self.rank))).ravel()
 
-    def difference_table(self) -> np.ndarray:
-        """order x order matrix D with D[x, y] = index of y - x."""
+    def difference_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1 of the order x order table D with D[x, y] = index of y - x."""
+        idx = self._indices()
         if self._is_two_power:
-            idx = np.arange(self.order)
-            return idx[None, :] ^ idx[:, None]
-        out = np.zeros((self.order, self.order), dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
+            return idx[start:stop, None] ^ idx
+        out = np.zeros((stop - start, self.order), dtype=np.intp)
         for n, w in zip(self.moduli, self._weights):
             col = (idx // w) % n
-            out += ((col[None, :] - col[:, None]) % n) * w
+            delta = col - col[start:stop, None]
+            delta %= n
+            delta *= w
+            out += delta
         return out
 
     # -- element text forms ---------------------------------------------

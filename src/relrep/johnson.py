@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -59,12 +59,14 @@ class JohnsonUniverse:
     @cached_property
     def point_bitmasks(self) -> np.ndarray:
         """uint32 bitmask of every point, indexed by rank (ground size <= 32)."""
+        combos = np.fromiter(chain.from_iterable(combinations(range(self.ground_size), self.n)),
+                             dtype=np.intp, count=self.size * self.n).reshape(self.size, self.n)
+        # colex rank as in rank(): C(c_i, i + 1) summed over the sorted elements c_i
+        binom = np.array([[math.comb(c, i + 1) for i in range(self.n)]
+                          for c in range(self.ground_size)], dtype=np.intp)
+        ranks = binom[combos, np.arange(self.n)].sum(axis=1)
         masks = np.zeros(self.size, dtype=np.uint32)
-        for combo in combinations(range(self.ground_size), self.n):
-            bits = 0
-            for c in combo:
-                bits |= 1 << c
-            masks[self.rank(combo)] = bits
+        masks[ranks] = np.bitwise_or.reduce(np.uint32(1) << combos.astype(np.uint32), axis=1)
         masks.setflags(write=False)
         return masks
 

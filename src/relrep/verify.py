@@ -26,9 +26,23 @@ EMPTY_ATOM = "empty_atom"
 DEFAULT_VIOLATION_CAP = 100
 
 # The one limit on N^2 work.  Building and brute-force verifying an N-point,
-# A-atom coloring peaks near N^2 (9 A + 17) bytes, fitted to measured peak RSS:
-# a bool mask and a float64 copy per atom, the colors and one float64 product.
+# A-atom coloring peaks near N^2 (5 A + 11) bytes, fitted to measured peak RSS:
+# a bool mask and a float32 copy per atom, the colors, the bool reach and
+# violation masks of one atom pair, and one 16 MiB block of float32 counts.
 MEMORY_BUDGET = 4 << 30
+
+# float32 holds every integer below 2^24 exactly and a witness count is at most
+# the number of points, so a float32 product of 0/1 matrices counts witnesses
+# exactly below 2^24 points.  The memory guard keeps colorings far smaller.
+_FLOAT32_EXACT_POINTS = 1 << 24
+
+# Cells of one row block of a witness product: 2^22 float32 counts (16 MiB)
+# ran as fast as the whole product at N = 3003; much smaller blocks cost more.
+_WITNESS_BLOCK_CELLS = 1 << 22
+
+# Cells of one row block of a Cayley coloring's differences: 2^18 int64 cells
+# (2 MiB) keep the build's peak near the int16 colors themselves.
+_DIFFERENCE_BLOCK_CELLS = 1 << 18
 
 
 class StructuralError(ValueError):
@@ -41,7 +55,7 @@ class MemoryGuardError(ValueError):
 
 def check_coloring_memory(points: int, atoms: int) -> None:
     """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
-    need = points * points * (9 * atoms + 17)
+    need = points * points * (5 * atoms + 11)
     if need > MEMORY_BUDGET:
         raise MemoryGuardError(
             f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
@@ -245,6 +259,34 @@ class EdgeColoring:
         return self.colors == code
 
 
+def _witness_reach(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product of 0/1 float32 matrices: True at (x, y) iff a[x, z] b[z, y] for some z.
+
+    The float32 counts are computed one row block of _WITNESS_BLOCK_CELLS cells
+    at a time, so no full-size float product is ever held.
+    """
+    if a.shape[1] >= _FLOAT32_EXACT_POINTS:
+        raise ValueError(
+            f"witness product over {a.shape[1]} points: float32 counts are exact "
+            f"only below {_FLOAT32_EXACT_POINTS} points")
+    rows, cols = a.shape[0], b.shape[1]
+    step = max(1, _WITNESS_BLOCK_CELLS // cols)
+    reach = np.empty((rows, cols), dtype=bool)
+    counts = np.empty((min(step, rows), cols), dtype=np.float32)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = np.matmul(a[start:stop], b, out=counts[:stop - start])
+        np.greater(block, 0, out=reach[start:stop])
+    return reach
+
+
+def _true_cells(mask: np.ndarray):
+    """Yield (x, y) of each True cell of a 2-D bool mask, lazily, in row-major order."""
+    for x in np.flatnonzero(mask.any(axis=1)):
+        for y in np.flatnonzero(mask[x]):
+            yield int(x), int(y)
+
+
 def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
     """The coloring with points G and edge (x, y) colored by the atom of y - x."""
     group = part.group
@@ -253,7 +295,11 @@ def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
     code_of = np.zeros(group.order, dtype=np.int16)
     for code, name in enumerate(names[1:], start=1):
         code_of[part.assignment[name].mask] = code
-    colors = code_of[group.difference_table()]
+    colors = np.empty((group.order, group.order), dtype=np.int16)
+    step = max(1, _DIFFERENCE_BLOCK_CELLS // group.order)
+    for start in range(0, group.order, step):
+        stop = min(start + step, group.order)
+        np.take(code_of, group.difference_rows(start, stop), out=colors[start:stop])
     return EdgeColoring(names, colors)
 
 
@@ -350,20 +396,20 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     collector = _Collector(early_exit, max_recorded)
     masks = {n: coloring.atom_mask(n) for n in names}
-    floats = {n: masks[n].astype(np.float64) for n in names}
+    floats = {n: masks[n].astype(np.float32) for n in names}
 
     for name in names:
         if not masks[name].any():
             collector.add(EMPTY_ATOM, None, name)
 
-    def edge_labels(bad: np.ndarray, cap: int):
-        for x, y in islice(np.argwhere(bad), cap):
-            yield f"({int(x)},{int(y)})"
+    def edge_labels(bad: np.ndarray):
+        for x, y in _true_cells(bad):
+            yield f"({x},{y})"
 
-    def triangle_labels(bad: np.ndarray, j: str, k: str, cap: int):
-        for x, y in islice(np.argwhere(bad), cap):
-            z = int(np.flatnonzero(masks[j][int(x)] & masks[k][:, int(y)])[0])
-            yield f"({int(x)},{z},{int(y)})"
+    def triangle_labels(bad: np.ndarray, j: str, k: str):
+        for x, y in _true_cells(bad):
+            z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
+            yield f"({x},{z},{y})"
 
     pair_checks: list[PairCheck] = []
     for j_pos in range(len(names)):
@@ -375,7 +421,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             j, k = names[j_pos], names[k_pos]
             profile, include_zero = spec.required_sumset_profile(j, k)
             profile_names = sorted(a.name for a in profile)
-            reach = (floats[j] @ floats[k]) > 0.5
+            reach = _witness_reach(floats[j], floats[k])
             actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
             has_zero = bool(np.diagonal(reach).any())
             ok = True
@@ -387,15 +433,15 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
                     if bad.any():
                         ok = False
                         collector.add_bulk(MISSING_WITNESS, (i, j, k),
-                                           edge_labels(bad, max_recorded),
-                                           int(bad.sum()))
+                                           edge_labels(bad),
+                                           int(np.count_nonzero(bad)))
                 else:
                     bad = masks[i] & reach
                     if bad.any():
                         ok = False
                         collector.add_bulk(FORBIDDEN_REALIZED, (i, j, k),
-                                           triangle_labels(bad, j, k, max_recorded),
-                                           int(bad.sum()))
+                                           triangle_labels(bad, j, k),
+                                           int(np.count_nonzero(bad)))
             if not collector.stop and include_zero and not has_zero:
                 # only possible when S_j is empty; mirror the sumset verifier
                 ok = False
@@ -426,11 +472,11 @@ def equivalence_classes(coloring: EdgeColoring, atom_name: str) -> EquivalenceRe
     """Partition points by (atom_name or identity) if transitive, else witness."""
     relation = coloring.atom_mask(atom_name).copy()
     np.fill_diagonal(relation, True)
-    rel_f = relation.astype(np.float64)
-    two_step = (rel_f @ rel_f) > 0.5
+    rel_f = relation.astype(np.float32)
+    two_step = _witness_reach(rel_f, rel_f)
     bad = two_step & ~relation
     if bad.any():
-        x, y = (int(v) for v in np.argwhere(bad)[0])
+        x, y = next(_true_cells(bad))
         z = int(np.flatnonzero(relation[x] & relation[:, y])[0])
         return EquivalenceResult(None, (x, z, y))
     n = coloring.point_count

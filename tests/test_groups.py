@@ -153,6 +153,14 @@ def test_sumset_commutative_and_monotone(group, data):
     assert sumset(a, ElementSet.singleton(group, 0)) == a
 
 
+@pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])
+def test_difference_rows_match_scalar_subtraction(moduli):
+    g = GroupSpec(moduli)
+    for start, stop in ((0, g.order), (1, 4), (g.order - 2, g.order)):
+        expected = [[g.sub(y, x) for y in g.elements()] for x in range(start, stop)]
+        assert g.difference_rows(start, stop).tolist() == expected
+
+
 def test_walsh_hadamard_is_self_inverse_up_to_n():
     rng = np.random.default_rng(5)
     for k in (1, 3, 6):

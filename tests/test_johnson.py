@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from relrep import (EquitablePartition, JohnsonUniverse, acc_witness_family,
 
 
 # -- universe indexing -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_point_bitmasks_match_rank(n):
+    u = JohnsonUniverse(n)
+    masks = u.point_bitmasks
+    assert masks.dtype == np.uint32 and masks.size == u.size
+    for subset in combinations(range(u.ground_size), n):
+        assert masks[u.rank(subset)] == sum(1 << c for c in subset)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -1,6 +1,7 @@
 """Partition structure, both verifiers, their agreement, and equivalence classes."""
 
 import json
+import math
 import time
 import tracemalloc
 
@@ -13,8 +14,10 @@ from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
                     build_59_65_partition, build_scheme, cayley_coloring,
                     JohnsonUniverse, equivalence_classes, verify_bruteforce,
                     verify_sumsets, weight_class)
+import relrep.verify
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           MemoryGuardError, check_coloring_memory)
+                           MemoryGuardError, _true_cells, _witness_reach,
+                           check_coloring_memory)
 
 
 def _z5_partition(a=(1, 4), b=(2, 3), c=()):
@@ -143,6 +146,32 @@ def test_cayley_coloring_single_atom():
     assert (np.diagonal(col.colors) == 0).all()
 
 
+@pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])
+def test_cayley_coloring_matches_scalar_differences(moduli, monkeypatch):
+    # rows of 3 cells per block: the coloring is built from many row blocks, the last ragged
+    monkeypatch.setattr(relrep.verify, "_DIFFERENCE_BLOCK_CELLS", 3 * math.prod(moduli))
+    g = GroupSpec(moduli)
+    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(5))
+    col = cayley_coloring(part)
+    code_of = {x: col.atom_names.index(name)
+               for name, es in part.assignment.items() for x in es}
+    code_of[0] = 0
+    expected = [[code_of[g.sub(y, x)] for y in g.elements()] for x in g.elements()]
+    assert col.colors.tolist() == expected
+
+
+def test_cayley_coloring_memory_stays_near_the_codes():
+    g = GroupSpec.cyclic(3001)
+    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        cayley_coloring(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (2 * g.order * g.order)  # a small multiple of the int16 codes
+
+
 def test_cayley_coloring_refuses_over_budget_before_allocating():
     g = GroupSpec.power(2, 14)
     part = ColoredPartition(g, {"a": weight_class(g, 1, 4), "b": weight_class(g, 5, 9),
@@ -161,10 +190,10 @@ def test_cayley_coloring_refuses_over_budget_before_allocating():
 
 
 def test_memory_guard_admits_the_desk_scale_colorings():
-    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 2.9 GB
+    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 1.7 GB
     check_coloring_memory(JohnsonUniverse(6).size, 3)
     with pytest.raises(MemoryGuardError, match="bytes"):
-        check_coloring_memory(8192, 6)  # the float64 copies scale with the atoms
+        check_coloring_memory(8192, 11)  # the float32 copies scale with the atoms
     with pytest.raises(MemoryGuardError, match="guard"):
         check_coloring_memory(JohnsonUniverse(8).size, 3)
 
@@ -239,6 +268,43 @@ def test_bruteforce_triangles_follow_spec_atom_order():
         i, j, k = (names.index(a) for a in v.cycle)
         x, z, y = (int(t) for t in v.where.strip("()").split(","))
         assert (colors[x, y], colors[x, z], colors[z, y]) == (i, j, k)
+
+
+# -- witness product -----------------------------------------------------------------
+
+
+def _boolean_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, :, None] & b[None, :, :]).any(axis=1)
+
+
+@pytest.mark.parametrize("size,block_cells", [
+    (1, None), (2, None), (113, None),
+    (37, 5 * 37),  # 5-row blocks, the last of 2 rows
+])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+def test_witness_reach_matches_boolean_oracle(size, block_cells, density, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(relrep.verify, "_WITNESS_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(size * 10 + int(density * 10))
+    a = rng.random((size, size)) < density
+    b = rng.random((size, size)) < density
+    reach = _witness_reach(a.astype(np.float32), b.astype(np.float32))
+    assert reach.dtype == bool
+    assert np.array_equal(reach, _boolean_product(a, b))
+
+
+def test_witness_reach_refuses_counts_float32_cannot_hold():
+    points = 1 << 24
+    a = np.broadcast_to(np.float32(1), (1, points))  # zero-stride views: nothing allocated
+    b = np.broadcast_to(np.float32(1), (points, 1))
+    with pytest.raises(ValueError, match="float32"):
+        _witness_reach(a, b)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.001, 0.3, 1.0])
+def test_true_cells_follow_row_major_order(density):
+    mask = np.random.default_rng(9).random((40, 30)) < density
+    assert list(_true_cells(mask)) == [(int(x), int(y)) for x, y in np.argwhere(mask)]
 
 
 # -- oracle equivalence and symmetry ---------------------------------------------------
