@@ -237,7 +237,7 @@ def _cmd_comer(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_build_59(args) -> tuple[dict, list[str], int]:
-    scheme = build_scheme(args.p, args.m, args.g)
+    scheme = build_scheme(args.p, 8, args.g)
     part = build_59_65_partition(scheme)
     spec = builtin("59_65")
     report = verify_sumsets(spec, part)
@@ -364,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-59", help="build and verify the 59_65 representation")
     p.add_argument("--p", type=int, default=113)
-    p.add_argument("--m", type=int, default=8)
     p.add_argument("--g", type=int)
     p.add_argument("--out", help="write the partition to this file")
     p.set_defaults(func=_cmd_build_59)

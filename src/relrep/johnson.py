@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -58,15 +57,13 @@ class JohnsonUniverse:
 
     @cached_property
     def point_bitmasks(self) -> np.ndarray:
-        """uint32 bitmask of every point, indexed by rank (ground size <= 32)."""
-        combos = np.fromiter(chain.from_iterable(combinations(range(self.ground_size), self.n)),
-                             dtype=np.intp, count=self.size * self.n).reshape(self.size, self.n)
-        # colex rank as in rank(): C(c_i, i + 1) summed over the sorted elements c_i
-        binom = np.array([[math.comb(c, i + 1) for i in range(self.n)]
-                          for c in range(self.ground_size)], dtype=np.intp)
-        ranks = binom[combos, np.arange(self.n)].sum(axis=1)
-        masks = np.zeros(self.size, dtype=np.uint32)
-        masks[ranks] = np.bitwise_or.reduce(np.uint32(1) << combos.astype(np.uint32), axis=1)
+        """uint32 bitmask of every point, indexed by rank (ground size <= 32).
+
+        Colex order of n-subsets is the increasing order of their bitmasks, so
+        the masks are the ground-size-bit integers of popcount n, ascending.
+        """
+        every = np.arange(1 << self.ground_size, dtype=np.uint32)
+        masks = every[np.bitwise_count(every) == self.n]
         masks.setflags(write=False)
         return masks
 

@@ -211,7 +211,7 @@ class ColoredPartition:
 class EdgeColoring:
     """A total symmetric coloring of ordered point pairs by atom names.
 
-    ``colors[x, y]`` is an index into ``atom_names``; code 0 must be the
+    ``colors[x, y]`` is an integer index into ``atom_names``; code 0 must be the
     identity and appears exactly on the diagonal.  Validated once, at
     construction; ``colors`` is a read-only copy.
     """
@@ -236,6 +236,8 @@ class EdgeColoring:
             raise StructuralError(f"color matrix must be square, got shape {c.shape}")
         if c.size == 0:
             raise StructuralError("coloring needs at least one point")
+        if not (c.dtype == bool or np.issubdtype(c.dtype, np.integer)):
+            raise StructuralError(f"color codes must be integers, got dtype {c.dtype}")
         if c.min() < 0 or c.max() >= len(self.atom_names):
             raise StructuralError("color codes out of range")
         if not np.array_equal(c, c.T):
@@ -245,10 +247,10 @@ class EdgeColoring:
         if (diag != 0).any():
             x = int(np.flatnonzero(diag != 0)[0])
             raise StructuralError(f"diagonal point ({x}, {x}) is not identity-colored")
-        off = c.copy()
-        np.fill_diagonal(off, 1)
-        if (off == 0).any():
-            x, y = np.argwhere(off == 0)[0]
+        # the diagonal is all zero, so any further zero code is off the diagonal
+        if c.size - np.count_nonzero(c) != c.shape[0]:
+            zeros = np.argwhere(c == 0)
+            x, y = zeros[zeros[:, 0] != zeros[:, 1]][0]
             raise StructuralError(f"off-diagonal pair ({x}, {y}) is identity-colored")
 
     def atom_mask(self, name: str) -> np.ndarray:

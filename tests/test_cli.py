@@ -173,6 +173,18 @@ def test_verify_group_rep_structural_error_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_out_of_range_product_coordinate_is_structural(capsys, tmp_path):
+    # a complete Z/3 x Z/5 partition except that 1,1 is written 4,1
+    rows = [f"b {a},{b}" for a in range(3) for b in range(5) if (a, b) != (0, 0)]
+    path = tmp_path / "wrapped.txt"
+    path.write_text("group: 3x5\n" + "\n".join(rows).replace("b 1,1", "b 4,1") + "\n")
+    with pytest.raises(StructuralError, match="out of range"):
+        load_partition(path)
+    code, out, err = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
+    assert code == EXIT_ERROR and not out
+    assert "out of range" in err
+
+
 def test_verify_group_rep_unused_atoms_fail_faithfully_not_structurally(capsys, tmp_path):
     # every nonzero element of Z/5 colored b: loads fine, a and c stay empty,
     # and the verdict is a faithfulness reject rather than a usage error
@@ -239,6 +251,12 @@ def test_johnson_mc_has_no_max_points_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["johnson-mc", "--n", "5", "--trials", "1", "--seed", "0",
               "--max-points", "5"])
+    assert exc.value.code == 2
+
+
+def test_build_59_has_no_m_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build-59", "--m", "8"])
     assert exc.value.code == 2
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
                     is_prime, is_primitive_root, primitive_root, span, sumset,
                     sumset_reference, weight_class)
-from relrep.groups import _walsh_hadamard
+from relrep.groups import _cyclic_convolution_counts, _walsh_hadamard
 
 
 # -- GroupSpec basics ---------------------------------------------------------
@@ -68,6 +68,15 @@ def test_element_text_forms():
         GroupSpec.power(2, 4).parse_element("0123")
 
 
+def test_product_coordinates_out_of_range_rejected():
+    g = GroupSpec((3, 5))
+    for text in ("4,1", "-1,0", "1,7", "3,0", "0,5"):
+        with pytest.raises(ValueError, match="out of range"):
+            g.parse_element(text)
+    assert g.parse_element("2,4") == g.encode((2, 4))
+    assert g.encode((4, 1)) == g.encode((1, 1))  # scalar arithmetic still reduces mod n
+
+
 def test_out_of_range_elements_rejected():
     g = GroupSpec.cyclic(5)
     with pytest.raises(ValueError):
@@ -90,6 +99,18 @@ def test_element_set_basics():
     assert not ElementSet.empty(g)
     assert s.is_symmetric is False
     assert ElementSet.from_indices(g, [2, 8]).is_symmetric
+
+
+@pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 4, 5), (2, 2, 3)])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_translate_and_negated_match_scalar_arithmetic(moduli, data):
+    g = GroupSpec(moduli)
+    members = data.draw(st.sets(st.integers(0, g.order - 1)))
+    c = data.draw(st.integers(0, g.order - 1))
+    s = ElementSet.from_indices(g, members)
+    assert s.translate(c) == ElementSet.from_indices(g, {g.add(x, c) for x in members})
+    assert s.negated() == ElementSet.from_indices(g, {g.neg(x) for x in members})
 
 
 def test_element_set_group_mismatch():
@@ -151,6 +172,28 @@ def test_sumset_commutative_and_monotone(group, data):
     assert sumset(a, b) == sumset(b, a)
     assert sumset(a, b) <= sumset(a | b, b | a)
     assert sumset(a, ElementSet.singleton(group, 0)) == a
+
+
+def test_cyclic_convolution_counts_are_exact_on_long_intervals():
+    # [0, a) + [0, b) in Z/p: every count up to min(a, b) = 50001 must round exactly
+    g = GroupSpec.cyclic(100003)
+    a, b = 50001, 50002
+    left, right = np.arange(g.order) < a, np.arange(g.order) < b
+    z = np.arange(g.order)
+    expected = np.clip(np.minimum(np.minimum(z, a + b - 2 - z), min(a, b) - 1) + 1, 0, None)
+    assert np.array_equal(_cyclic_convolution_counts(g, left, right), expected)
+
+
+@pytest.mark.parametrize("moduli", [(3,) * 9, (4, 5, 6, 7, 8), (9973,)])
+def test_sumset_matches_translation_union_on_larger_groups(moduli):
+    g = GroupSpec(moduli)
+    rng = np.random.default_rng(sum(moduli))
+    small = ElementSet(g, rng.random(g.order) < 0.003)
+    big = ElementSet(g, rng.random(g.order) < 0.2)
+    expected = np.zeros(moduli, dtype=bool)
+    for s in small:  # S + B as the union of B shifted by each s, axis by axis
+        expected |= np.roll(big.mask.reshape(moduli), g.decode(s), axis=tuple(range(g.rank)))
+    assert np.array_equal(sumset(small, big).mask, expected.ravel())
 
 
 @pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])

@@ -13,3 +13,22 @@ def test_no_assert_statements_in_library():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_no_unused_top_level_imports_in_library():
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "relrep").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public API
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno
+                                 for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+    assert offenders == []

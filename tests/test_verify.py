@@ -172,6 +172,32 @@ def test_cayley_coloring_memory_stays_near_the_codes():
     assert peak < 4 * (2 * g.order * g.order)  # a small multiple of the int16 codes
 
 
+def test_edge_coloring_validates_without_copying_the_matrix():
+    g = GroupSpec.cyclic(3001)
+    coloring = cayley_coloring(random_symmetric_partition(g, ("a", "b", "c"),
+                                                          np.random.default_rng(6)))
+    tracemalloc.start()
+    try:
+        EdgeColoring(coloring.atom_names, coloring.colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # its own copy plus one bool temporary; a second copy for the zero check goes over
+    assert peak < 2 * coloring.colors.nbytes
+
+
+def test_edge_coloring_rejects_non_integer_codes():
+    # two copies of the 59_65 coloring of Z/113 joined by edges coded 0.5, which
+    # belong to no atom: a float matrix like this once passed verify_bruteforce
+    block = cayley_coloring(build_59_65_partition(build_scheme(113, 8)))
+    n = block.point_count
+    colors = np.full((2 * n, 2 * n), 0.5)
+    colors[:n, :n] = colors[n:, n:] = block.colors
+    with pytest.raises(StructuralError, match="integers"):
+        EdgeColoring(block.atom_names, colors)
+    assert EdgeColoring(block.atom_names[:2], ~np.eye(2, dtype=bool)).point_count == 2
+
+
 def test_cayley_coloring_refuses_over_budget_before_allocating():
     g = GroupSpec.power(2, 14)
     part = ColoredPartition(g, {"a": weight_class(g, 1, 4), "b": weight_class(g, 5, 9),
@@ -219,6 +245,14 @@ def test_edge_coloring_validation():
         EdgeColoring(("1'", "a"), np.array([[1, 1], [1, 0]]))
     with pytest.raises(StructuralError, match="identity-colored"):
         EdgeColoring(("1'", "a"), np.array([[0, 0], [0, 0]]))
+
+
+def test_edge_coloring_names_the_first_off_diagonal_identity_pair():
+    colors = np.ones((4, 4), dtype=np.int8)
+    np.fill_diagonal(colors, 0)
+    colors[1, 3] = colors[3, 1] = colors[2, 3] = colors[3, 2] = 0
+    with pytest.raises(StructuralError, match=r"pair \(1, 3\) is identity-colored"):
+        EdgeColoring(("1'", "a"), colors)
 
 
 # -- brute-force verifier --------------------------------------------------------------
