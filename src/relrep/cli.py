@@ -13,10 +13,11 @@ import json
 import os
 import secrets
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .algebra import RaSpec, builtin, parse_spec
-from .comer import SchemeError, build_59_65_partition, build_scheme, sweep_schemes
+from .comer import build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
 from .groups import ElementSet, GroupSpec
 from .johnson import mc_trial, minimal_sufficient_n, probability_bound
@@ -89,17 +90,17 @@ def load_partition(path, group: GroupSpec | None = None,
     if group is None:
         raise StructuralError(f"{path} has no group directive; pass --group")
     assignment: dict[str, set[int]] = {}
+    seen: set[int] = set()
     for atom, element_text in rows:
         try:
             element = group.parse_element(element_text)
         except ValueError as exc:
             raise StructuralError(f"bad element in {path}: {exc}") from None
-        assignment.setdefault(atom, set())
-        for members in assignment.values():
-            if element in members:
-                raise StructuralError(
-                    f"element {element_text} is assigned more than once in {path}")
-        assignment[atom].add(element)
+        if element in seen:
+            raise StructuralError(
+                f"element {element_text} is assigned more than once in {path}")
+        seen.add(element)
+        assignment.setdefault(atom, set()).add(element)
     if spec is not None:
         spec_names = [a.name for a in spec.diversity_atoms]
         unknown = sorted(set(assignment) - set(spec_names))
@@ -126,24 +127,17 @@ def _load_spec(ref: str) -> RaSpec:
     return parse_spec(Path(ref).read_text())
 
 
-# -- output helpers ------------------------------------------------------------
+_METHODS = ("sumsets", "bruteforce")
 
 
-def _report_table(report_dict: dict) -> list[str]:
-    lines = [f"verdict: {report_dict['verdict']}  (method: {report_dict['method']})"]
-    for pair in report_dict["pairs"]:
-        j, k = pair["pair"]
-        zero = " + {0}" if pair["include_zero"] else ""
-        status = "ok" if pair["ok"] else "VIOLATED"
-        lines.append(f"  {j}+{k}: expect {'+'.join(pair['expected_atoms']) or '(empty)'}"
-                     f"{zero}  [{status}]")
-    if report_dict["violation_count"]:
-        lines.append(f"violations: {report_dict['violation_count']} total"
-                     + (" (truncated)" if report_dict["truncated"] else ""))
-        for v in report_dict["violations"][:10]:
-            cycle = ",".join(v["cycle"]) if v["cycle"] else "-"
-            lines.append(f"  {v['kind']} [{cycle}] at {v['where']}")
-    return lines
+def _verify(spec: RaSpec, part: ColoredPartition, methods: tuple[str, ...],
+            early_exit: bool) -> tuple[dict, bool]:
+    """Run the named verifiers; return their report dicts and the AND of verdicts."""
+    reports = {m: verify_sumsets(spec, part, early_exit=early_exit) if m == "sumsets"
+               else verify_bruteforce(spec, cayley_coloring(part), early_exit=early_exit)
+               for m in methods}
+    return ({m: r.to_dict() for m, r in reports.items()},
+            all(r.accepted for r in reports.values()))
 
 
 def _effective_seed(value: int | None) -> int:
@@ -151,180 +145,186 @@ def _effective_seed(value: int | None) -> int:
 
 
 # -- subcommands ----------------------------------------------------------------
-# Each returns (JSON payload, table lines, exit code); only main writes stdout.
+# Each returns (JSON payload, exit code) and builds no text.
 
 
-def _cmd_show_algebra(args) -> tuple[dict, list[str], int]:
+def _cmd_show_algebra(args) -> tuple[dict, int]:
     spec = _load_spec(args.spec)
     profiles = []
-    names = [a.name for a in spec.diversity_atoms]
-    for i, j in ((i, j) for i in range(len(names)) for j in range(i, len(names))):
-        prof, zero = spec.required_sumset_profile(names[i], names[j])
-        profiles.append({"pair": [names[i], names[j]],
+    for left, right in combinations_with_replacement([a.name for a in spec.diversity_atoms], 2):
+        prof, zero = spec.required_sumset_profile(left, right)
+        profiles.append({"pair": [left, right],
                          "atoms": sorted(a.name for a in prof),
                          "include_zero": zero})
-    payload = {"name": spec.label,
-               "atoms": [a.name for a in spec.atoms],
-               "allowed_cycles": ["".join(t) for t in spec.cycle_names()],
-               "forbidden_cycles": ["".join(t) for t in spec.forbidden_cycle_names()],
-               "profiles": profiles}
-    lines = [f"algebra {spec.label or '(unnamed)'}",
+    return {"name": spec.label,
+            "atoms": [a.name for a in spec.atoms],
+            "allowed_cycles": ["".join(t) for t in spec.cycle_names()],
+            "forbidden_cycles": ["".join(t) for t in spec.forbidden_cycle_names()],
+            "profiles": profiles}, EXIT_OK
+
+
+def _cmd_verify_group_rep(args) -> tuple[dict, int]:
+    spec = _load_spec(args.spec)
+    group = parse_group_flag(args.group) if args.group else None
+    part = load_partition(args.partition, group, spec)
+    methods = _METHODS if args.method == "both" else (args.method,)
+    reports, accepted = _verify(spec, part, methods, args.early_exit)
+    return {"spec": spec.label,
+            "group": format_group_flag(part.group),
+            "verdict": "accept" if accepted else "reject",
+            "reports": reports}, EXIT_OK if accepted else EXIT_REJECT
+
+
+def _cmd_comer(args) -> tuple[dict, int]:
+    if args.p is None and not args.sweep_max_p:
+        raise StructuralError("either --p or --sweep-max-p is required")
+    if args.sweep_max_p:
+        return {"sweep": sweep_schemes(args.sweep_max_p, args.m)}, EXIT_OK
+    return build_scheme(args.p, args.m, args.g).to_dict(), EXIT_OK
+
+
+def _cmd_build_59(args) -> tuple[dict, int]:
+    scheme = build_scheme(args.p, 8, args.g)
+    part = build_59_65_partition(scheme)
+    reports, accepted = _verify(builtin("59_65"), part, _METHODS, early_exit=False)
+    if args.out:
+        write_partition(part, args.out)
+    return {"p": scheme.p, "m": scheme.m, "g": scheme.generator,
+            "verdict": "accept" if accepted else "reject",
+            "partition_file": str(args.out) if args.out else None,
+            "sizes": {n: len(part.assignment[n]) for n in part.atom_names()},
+            "reports": reports}, EXIT_OK if accepted else EXIT_REJECT
+
+
+def _cmd_johnson_bound(args) -> tuple[dict, int]:
+    return {"rows": [probability_bound(n).to_dict() for n in range(3, args.max_n + 1)],
+            "first_below_one": minimal_sufficient_n()}, EXIT_OK
+
+
+def _cmd_johnson_mc(args) -> tuple[dict, int]:
+    return mc_trial(args.n, args.trials, _effective_seed(args.seed)).to_dict(), EXIT_OK
+
+
+def _cmd_search_gf2(args) -> tuple[dict, int]:
+    initial = (tuple(parse_bitstrings(Path(args.seed_fixture).read_text().splitlines(),
+                                      args.k)) if args.seed_fixture else ())
+    config = SearchConfig(k=args.k, t=args.t, target_order=args.target_order,
+                          seed=_effective_seed(args.seed), restarts=args.restarts,
+                          backtrack=args.backtrack, time_budget=args.time_budget,
+                          initial_elements=initial)
+    outcome = search(config)
+    accepted = outcome.report.accepted and (
+        config.target_order is None or outcome.reached_target)
+    return outcome.to_dict(), EXIT_OK if accepted else EXIT_REJECT
+
+
+def _cmd_validate_fixture(args) -> tuple[dict, int]:
+    result = validate_fixture(Path(args.path).read_text().splitlines(), k=args.k, t=args.t)
+    return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
+
+
+# -- tables -----------------------------------------------------------------------
+# Each renders the lines of --format table from the subcommand's JSON payload
+# alone; args is there for validate-fixture, whose input path is not in it.
+
+
+def _table_report(report: dict) -> list[str]:
+    lines = [f"verdict: {report['verdict']}  (method: {report['method']})"]
+    for pair in report["pairs"]:
+        zero = " + {0}" if pair["include_zero"] else ""
+        status = "ok" if pair["ok"] else "VIOLATED"
+        lines.append(f"  {'+'.join(pair['pair'])}: expect "
+                     f"{'+'.join(pair['expected_atoms']) or '(empty)'}{zero}  [{status}]")
+    if report["violation_count"]:
+        lines.append(f"violations: {report['violation_count']} total"
+                     + (" (truncated)" if report["truncated"] else ""))
+        for v in report["violations"][:10]:
+            cycle = ",".join(v["cycle"]) if v["cycle"] else "-"
+            lines.append(f"  {v['kind']} [{cycle}] at {v['where']}")
+    return lines
+
+
+def _table_show_algebra(args, payload: dict) -> list[str]:
+    return ([f"algebra {payload['name'] or '(unnamed)'}",
              "atoms: " + " ".join(payload["atoms"]),
              "allowed cycles: " + " ".join(payload["allowed_cycles"]),
              "forbidden cycles: " + " ".join(payload["forbidden_cycles"]),
              "required sumset profiles:"]
-    for p in profiles:
-        zero = " + {0}" if p["include_zero"] else ""
-        lines.append(f"  {p['pair'][0]}+{p['pair'][1]} = "
-                     f"{'+'.join(p['atoms']) or '(empty)'}{zero}")
-    return payload, lines, EXIT_OK
+            + [f"  {'+'.join(p['pair'])} = {'+'.join(p['atoms']) or '(empty)'}"
+               + (" + {0}" if p["include_zero"] else "") for p in payload["profiles"]])
 
 
-def _cmd_verify_group_rep(args) -> tuple[dict, list[str], int]:
-    spec = _load_spec(args.spec)
-    group = parse_group_flag(args.group) if args.group else None
-    part = load_partition(args.partition, group, spec)
-    reports = {}
-    if args.method in ("sumsets", "both"):
-        reports["sumsets"] = verify_sumsets(spec, part, early_exit=args.early_exit)
-    if args.method in ("bruteforce", "both"):
-        reports["bruteforce"] = verify_bruteforce(spec, cayley_coloring(part),
-                                                  early_exit=args.early_exit)
-    accepted = all(r.accepted for r in reports.values())
-    payload = {"spec": spec.label,
-               "group": format_group_flag(part.group),
-               "verdict": "accept" if accepted else "reject",
-               "reports": {k: r.to_dict() for k, r in reports.items()}}
-    lines = [f"spec {spec.label} over {part.group.describe()}"]
-    for name, rep in reports.items():
-        lines.extend(_report_table(rep.to_dict()))
-    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
+def _table_verify_group_rep(args, payload: dict) -> list[str]:
+    lines = [f"spec {payload['spec']} over "
+             f"{parse_group_flag(payload['group']).describe()}"]
+    for method in _METHODS:  # JSON sorts the report keys; keep run order
+        if method in payload["reports"]:
+            lines.extend(_table_report(payload["reports"][method]))
+    return lines
 
 
-def _cmd_comer(args) -> tuple[dict, list[str], int]:
-    if args.p is None and not args.sweep_max_p:
-        raise StructuralError("either --p or --sweep-max-p is required")
-    if args.sweep_max_p:
-        rows = sweep_schemes(args.sweep_max_p, args.m)
-        payload = {"sweep": rows}
-        lines = [f"p={r['p']} m={r['m']} g={r['g']} symmetric={r['symmetric']} "
-                 + (f"allowed={r['allowed']} forbidden={r['forbidden']}"
-                    if "allowed" in r else
-                    f"ordered-cycles={r['allowed_ordered']} (orientation-dependent)")
-                 for r in rows]
-        return payload, lines, EXIT_OK
-    scheme = build_scheme(args.p, args.m, args.g)
-    payload = {"p": scheme.p, "m": scheme.m, "g": scheme.generator,
-               "symmetric": scheme.symmetric,
-               "coset_size": (scheme.p - 1) // scheme.m}
-    lines = [f"scheme p={scheme.p} m={scheme.m} g={scheme.generator} "
-             f"symmetric={scheme.symmetric} coset size {(scheme.p - 1) // scheme.m}"]
-    try:
-        allowed = sorted(scheme.cycle_multisets())
-        forbidden = sorted(scheme.forbidden_multisets())
-        payload["allowed"] = [list(t) for t in allowed]
-        payload["forbidden"] = [list(t) for t in forbidden]
-        lines.append(f"allowed cycles ({len(allowed)}): "
-                     + " ".join("".join(map(str, t)) for t in allowed))
-        lines.append(f"forbidden cycles ({len(forbidden)}): "
-                     + " ".join("".join(map(str, t)) for t in forbidden))
-    except SchemeError:
-        ordered = sorted(scheme.cycles_ordered)
-        payload["allowed_ordered"] = [list(t) for t in ordered]
-        payload["orientation_dependent"] = True
-        lines.append(f"orientation-dependent structure; {len(ordered)} ordered cycles")
-    return payload, lines, EXIT_OK
+def _table_comer(args, payload: dict) -> list[str]:
+    if "sweep" in payload:
+        return [f"p={r['p']} m={r['m']} g={r['g']} symmetric={r['symmetric']} "
+                + (f"allowed={r['allowed']} forbidden={r['forbidden']}"
+                   if "allowed" in r else
+                   f"ordered-cycles={r['allowed_ordered']} (orientation-dependent)")
+                for r in payload["sweep"]]
+    lines = [f"scheme p={payload['p']} m={payload['m']} g={payload['g']} "
+             f"symmetric={payload['symmetric']} coset size {payload['coset_size']}"]
+    if "allowed" in payload:
+        for kind in ("allowed", "forbidden"):
+            lines.append(f"{kind} cycles ({len(payload[kind])}): "
+                         + " ".join("".join(map(str, t)) for t in payload[kind]))
+    else:
+        lines.append(f"orientation-dependent structure; "
+                     f"{len(payload['allowed_ordered'])} ordered cycles")
+    return lines
 
 
-def _cmd_build_59(args) -> tuple[dict, list[str], int]:
-    scheme = build_scheme(args.p, 8, args.g)
-    part = build_59_65_partition(scheme)
-    spec = builtin("59_65")
-    report = verify_sumsets(spec, part)
-    brute = verify_bruteforce(spec, cayley_coloring(part))
-    accepted = report.accepted and brute.accepted
-    out_path = None
-    if args.out:
-        write_partition(part, args.out)
-        out_path = str(args.out)
-    payload = {"p": scheme.p, "m": scheme.m, "g": scheme.generator,
-               "verdict": "accept" if accepted else "reject",
-               "partition_file": out_path,
-               "sizes": {n: len(part.assignment[n]) for n in part.atom_names()},
-               "reports": {"sumsets": report.to_dict(), "bruteforce": brute.to_dict()}}
-    lines = [f"59_65 over Z/{scheme.p} (m={scheme.m}, g={scheme.generator}): "
+def _table_build_59(args, payload: dict) -> list[str]:
+    reports, written = payload["reports"], payload["partition_file"]
+    return ([f"59_65 over Z/{payload['p']} (m={payload['m']}, g={payload['g']}): "
              f"sizes {payload['sizes']}"]
-    lines.extend(_report_table(report.to_dict()))
-    lines.append(f"bruteforce agrees: {brute.verdict}")
-    if out_path:
-        lines.append(f"partition written to {out_path}")
-    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
+            + _table_report(reports["sumsets"])
+            + [f"bruteforce agrees: {reports['bruteforce']['verdict']}"]
+            + ([f"partition written to {written}"] if written else []))
 
 
-def _cmd_johnson_bound(args) -> tuple[dict, list[str], int]:
-    rows = [probability_bound(n).to_dict() for n in range(3, args.max_n + 1)]
-    first = next((r["n"] for r in rows if r["below_one"]), None)
-    if first is None:
-        first = minimal_sufficient_n()
-    payload = {"rows": rows, "first_below_one": first}
-    lines = [f"{'n':>4} {'C(3n-4,n)':>16} {'log10(bound)':>14} below_one"]
-    for r in rows:
-        lines.append(f"{r['n']:>4} {r['binomial']:>16} {r['log10_bound']:>14.4f} "
-                     f"{str(r['below_one']).lower()}")
-    lines.append(f"first n with bound < 1: {first}")
-    return payload, lines, EXIT_OK
+def _table_johnson_bound(args, payload: dict) -> list[str]:
+    return ([f"{'n':>4} {'C(3n-4,n)':>16} {'log10(bound)':>14} below_one"]
+            + [f"{r['n']:>4} {r['binomial']:>16} {r['log10_bound']:>14.4f} "
+               f"{str(r['below_one']).lower()}" for r in payload["rows"]]
+            + [f"first n with bound < 1: {payload['first_below_one']}"])
 
 
-def _cmd_johnson_mc(args) -> tuple[dict, list[str], int]:
-    seed = _effective_seed(args.seed)
-    report = mc_trial(args.n, args.trials, seed)
-    payload = report.to_dict()
-    lines = [f"johnson mc: n={report.n} universe={report.universe_size} "
-             f"classes of {report.class_size}, seed={report.seed}"]
-    for rec in report.records:
-        d = rec.to_dict()
-        lines.append(f"  trial {d['trial']}: {d['verdict']} "
-                     f"({d['violation_count']} violations)")
-    return payload, lines, EXIT_OK
+def _table_johnson_mc(args, payload: dict) -> list[str]:
+    return ([f"johnson mc: n={payload['n']} universe={payload['universe_size']} "
+             f"classes of {payload['class_size']}, seed={payload['seed']}"]
+            + [f"  trial {d['trial']}: {d['verdict']} ({d['violation_count']} violations)"
+               for d in payload["records"]])
 
 
-def _cmd_search_gf2(args) -> tuple[dict, list[str], int]:
-    seed = _effective_seed(args.seed)
-    initial = ()
-    if args.seed_fixture:
-        initial = tuple(parse_bitstrings(
-            Path(args.seed_fixture).read_text().splitlines(), args.k))
-    config = SearchConfig(k=args.k, t=args.t, target_order=args.target_order,
-                          seed=seed, restarts=args.restarts,
-                          backtrack=args.backtrack, time_budget=args.time_budget,
-                          initial_elements=initial)
-    outcome = search(config)
-    payload = outcome.to_dict()
-    lines = [f"search k={args.k} t={config.resolved_t} seed={seed}: "
-             f"|H| = {outcome.order} after {outcome.restarts_run} restart(s) "
-             f"(stopped by {outcome.stopped_by})",
-             f"basis: {' '.join(payload['basis']) or '(trivial)'}",
-             f"verdict: {outcome.report.verdict}"]
-    accepted = outcome.report.accepted and (
-        config.target_order is None or outcome.reached_target)
-    return payload, lines, EXIT_OK if accepted else EXIT_REJECT
+def _table_search_gf2(args, payload: dict) -> list[str]:
+    return [f"search k={payload['k']} t={payload['t']} seed={payload['seed']}: "
+            f"|H| = {payload['order']} after {payload['restarts_run']} restart(s) "
+            f"(stopped by {payload['stopped_by']})",
+            f"basis: {' '.join(payload['basis']) or '(trivial)'}",
+            f"verdict: {payload['verdict']}"]
 
 
-def _cmd_validate_fixture(args) -> tuple[dict, list[str], int]:
-    lines_in = Path(args.path).read_text().splitlines()
-    result = validate_fixture(lines_in, k=args.k, t=args.t)
-    payload = result.to_dict()
-    lines = [f"fixture {args.path}: {result.element_count} elements over "
-             f"(Z/2)^{result.k}",
-             f"  weights within [1, {result.t}]: {result.weights_ok}",
-             f"  closed subgroup with 0: {result.closure_ok} "
-             f"(order {result.subgroup_order})",
-             f"  sumset verification: "
-             f"{result.verification.verdict if result.verification else 'skipped'}",
-             f"  b-clique classes: {result.class_count} of size {result.class_size} "
-             f"(ok: {result.classes_ok})",
-             f"verdict: {'accept' if result.passed else 'reject'}"]
-    return payload, lines, EXIT_OK if result.passed else EXIT_REJECT
+def _table_validate_fixture(args, payload: dict) -> list[str]:
+    verification = payload["verification"]
+    return [f"fixture {args.path}: {payload['element_count']} elements over "
+            f"(Z/2)^{payload['k']}",
+            f"  weights within [1, {payload['t']}]: {payload['weights_ok']}",
+            f"  closed subgroup with 0: {payload['closure_ok']} "
+            f"(order {payload['subgroup_order']})",
+            f"  sumset verification: "
+            f"{verification['verdict'] if verification else 'skipped'}",
+            f"  b-clique classes: {payload['class_count']} of size "
+            f"{payload['class_size']} (ok: {payload['classes_ok']})",
+            f"verdict: {payload['verdict']}"]
 
 
 # -- parser -----------------------------------------------------------------------
@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("show-algebra", help="print an algebra's cycle structure")
     p.add_argument("spec", help="52_65, 59_65, or a path to a spec file")
-    p.set_defaults(func=_cmd_show_algebra)
+    p.set_defaults(func=_cmd_show_algebra, table=_table_show_algebra)
 
     p = sub.add_parser("verify-group-rep", help="verify a partition file")
     p.add_argument("partition", help="path to an 'atom element' partition file")
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="sumsets")
     p.add_argument("--no-early-exit", dest="early_exit", action="store_false",
                    help="count every violation instead of stopping at the first")
-    p.set_defaults(func=_cmd_verify_group_rep, early_exit=True)
+    p.set_defaults(func=_cmd_verify_group_rep, table=_table_verify_group_rep)
 
     p = sub.add_parser("comer", help="cyclotomic coset scheme cycle structure")
     p.add_argument("--p", type=int)
@@ -360,23 +360,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, help="primitive root (default: smallest)")
     p.add_argument("--sweep-max-p", type=int,
                    help="scan all primes up to this bound instead (uses --m)")
-    p.set_defaults(func=_cmd_comer)
+    p.set_defaults(func=_cmd_comer, table=_table_comer)
 
     p = sub.add_parser("build-59", help="build and verify the 59_65 representation")
     p.add_argument("--p", type=int, default=113)
     p.add_argument("--g", type=int)
     p.add_argument("--out", help="write the partition to this file")
-    p.set_defaults(func=_cmd_build_59)
+    p.set_defaults(func=_cmd_build_59, table=_table_build_59)
 
     p = sub.add_parser("johnson-bound", help="table of the existence bound by n")
     p.add_argument("--max-n", type=int, default=16)
-    p.set_defaults(func=_cmd_johnson_bound)
+    p.set_defaults(func=_cmd_johnson_bound, table=_table_johnson_bound)
 
     p = sub.add_parser("johnson-mc", help="Monte Carlo trials of random colorings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, help="base seed (derived and echoed if omitted)")
-    p.set_defaults(func=_cmd_johnson_mc)
+    p.set_defaults(func=_cmd_johnson_mc, table=_table_johnson_mc)
 
     p = sub.add_parser("search-gf2", help="randomized subgroup search over (Z/2)^k")
     p.add_argument("--k", type=int, required=True)
@@ -388,23 +388,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float,
                    help="wall-clock seconds; trades determinism for a hard stop")
     p.add_argument("--seed-fixture", help="bitstring file folded into every restart's basis")
-    p.set_defaults(func=_cmd_search_gf2)
+    p.set_defaults(func=_cmd_search_gf2, table=_table_search_gf2)
 
     p = sub.add_parser("validate-fixture", help="run the four subgroup-fixture checks")
     p.add_argument("path", help="bitstring file, one element per line")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--t", type=int, default=6)
-    p.set_defaults(func=_cmd_validate_fixture)
+    p.set_defaults(func=_cmd_validate_fixture, table=_table_validate_fixture)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        payload, lines, code = args.func(args)
-        if args.format == "json":
-            lines = [json.dumps(payload, indent=2, sort_keys=True)]
+        payload, code = args.func(args)
+        lines = ([json.dumps(payload, indent=2, sort_keys=True)]
+                 if args.format == "json" else args.table(args, payload))
         for line in lines:
             print(line)
     except (ValueError, OSError) as exc:  # StructuralError, SchemeError, SpecError too

@@ -58,6 +58,19 @@ class CosetScheme:
     def forbidden_multisets(self) -> frozenset[tuple[int, int, int]]:
         return frozenset(self.all_multisets()) - self.cycle_multisets()
 
+    def to_dict(self) -> dict:
+        """Sorted index triples of the allowed and forbidden cycles, or of the
+        ordered cycles alone when the structure is orientation-dependent."""
+        out = {"p": self.p, "m": self.m, "g": self.generator,
+               "symmetric": self.symmetric, "coset_size": (self.p - 1) // self.m}
+        try:
+            out["allowed"] = [list(t) for t in sorted(self.cycle_multisets())]
+            out["forbidden"] = [list(t) for t in sorted(self.forbidden_multisets())]
+        except SchemeError:
+            out["allowed_ordered"] = [list(t) for t in sorted(self.cycles_ordered)]
+            out["orientation_dependent"] = True
+        return out
+
 
 def build_scheme(p: int, m: int, g: int | None = None) -> CosetScheme:
     """Build the cyclotomic coset scheme for (p, m) and compute its cycles.
@@ -135,23 +148,15 @@ def canonical_cycle_shape(tri: tuple[int, int, int], m: int) -> tuple[int, int, 
 def sweep_schemes(max_p: int, m: int) -> list[dict]:
     """Scheme shapes for every prime p <= max_p with m | p - 1 (plumbing only).
 
-    Reports computed cycle counts; makes no representability claims.
+    Each row is the scheme's ``to_dict`` without ``coset_size`` and with every
+    cycle list replaced by its length; makes no representability claims.
     """
+    if m < 1:
+        raise SchemeError(f"m must be at least 1, got {m}")
     rows = []
     for p in range(2, max_p + 1):
-        if not is_prime(p) or (p - 1) % m != 0:
-            continue
-        scheme = build_scheme(p, m)
-        try:
-            allowed = len(scheme.cycle_multisets())
-            total = len(scheme.all_multisets())
-            row = {"p": p, "m": m, "g": scheme.generator,
-                   "symmetric": scheme.symmetric,
-                   "allowed": allowed, "forbidden": total - allowed}
-        except SchemeError:
-            row = {"p": p, "m": m, "g": scheme.generator,
-                   "symmetric": scheme.symmetric,
-                   "allowed_ordered": len(scheme.cycles_ordered),
-                   "orientation_dependent": True}
-        rows.append(row)
+        if is_prime(p) and (p - 1) % m == 0:
+            row = build_scheme(p, m).to_dict()
+            del row["coset_size"]
+            rows.append({k: len(v) if isinstance(v, list) else v for k, v in row.items()})
     return rows

@@ -64,9 +64,6 @@ class IdentityCheck:
     holds: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"identity": self.name, "holds": self.holds, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class PrecheckReport:
@@ -76,12 +73,6 @@ class PrecheckReport:
     high_size: int
     checks: tuple[IdentityCheck, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "t": self.t,
-                "low_size": self.low_size, "high_size": self.high_size,
-                "checks": [c.to_dict() for c in self.checks],
-                "passed": self.passed}
 
 
 def _identity_check(name: str, actual: ElementSet, expected: ElementSet) -> IdentityCheck:

@@ -6,8 +6,9 @@ import pytest
 
 from helpers import FIXTURES
 from relrep import GroupSpec, StructuralError
-from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, format_group_flag,
-                        load_partition, main, parse_group_flag, write_partition)
+from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, _build_parser,
+                        format_group_flag, load_partition, main, parse_group_flag,
+                        write_partition)
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,7 @@ def test_load_partition_round_trip(tmp_path):
     ("group: z:5\nb 1\nb 4\n", "not assigned"),
     ("group: z:5\nb 0\nb 1\nb 2\nb 3\nb 4\n", "zero"),
     ("group: z:5\na 1\na 1\nb 2\nb 3\nb 4\n", "more than once"),
+    ("group: z:5\na 1\nb 1\nb 2\nb 3\nb 4\n", "more than once"),
     ("group: z:5\na 1\na 2\nb 3\nb 4\n", "symmetric"),
     ("group: z:5\nnonsense\n", "expected"),
     ("b 1\nb 2\nb 3\nb 4\n", "no group"),
@@ -102,6 +104,14 @@ def test_johnson_bound_first_true_row_is_13(capsys):
     assert first_true == 13
 
 
+def test_johnson_bound_first_below_one_does_not_depend_on_max_n(capsys):
+    code, payload, _ = run_json(capsys, "johnson-bound", "--max-n", "5")
+    assert code == EXIT_OK
+    assert [r["n"] for r in payload["rows"]] == [3, 4, 5]
+    assert not any(r["below_one"] for r in payload["rows"])
+    assert payload["first_below_one"] == 13
+
+
 def test_comer_forbidden_families(capsys):
     code, payload, _ = run_json(capsys, "comer", "--p", "113", "--m", "8")
     assert code == EXIT_OK
@@ -118,6 +128,13 @@ def test_comer_sweep(capsys):
     code, payload, _ = run_json(capsys, "comer", "--m", "2", "--sweep-max-p", "20")
     assert code == EXIT_OK
     assert [r["p"] for r in payload["sweep"]] == [3, 5, 7, 11, 13, 17, 19]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_comer_sweep_with_nonpositive_m_exits_2(capsys, m):
+    code, out, err = run_cli(capsys, "comer", "--m", m, "--sweep-max-p", "10")
+    assert code == EXIT_ERROR and not out
+    assert "error:" in err and "at least 1" in err
 
 
 def test_comer_requires_p_or_sweep(capsys):
@@ -306,7 +323,7 @@ def test_table_output_is_default(capsys):
 _H52 = str(FIXTURES / "h52_k10.txt")
 
 
-@pytest.mark.parametrize("argv,key_line", [
+_KEY_LINES = [
     (("show-algebra", "52_65"), "forbidden cycles: abb bbc ccc"),
     (("verify-group-rep", str(FIXTURES / "comer113_partition.txt"), "--spec", "52_65"),
      "verdict: reject  (method: sumsets)"),
@@ -321,10 +338,28 @@ _H52 = str(FIXTURES / "h52_k10.txt")
     (("search-gf2", "--k", "10", "--seed", "12", "--restarts", "2",
       "--target-order", "64", "--seed-fixture", _H52), "verdict: accept"),
     (("validate-fixture", _H52), "  b-clique classes: 16 of size 64 (ok: True)"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,key_line", _KEY_LINES)
 def test_table_output_matches_json_exit_code(capsys, argv, key_line):
     json_code, _, _ = run_json(capsys, *argv)
     code, out, _ = run_cli(capsys, "--format", "table", *argv)
     assert code == json_code
     assert out.strip()
     assert key_line in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _KEY_LINES] + [
+    ("comer", "--p", "13", "--m", "4"),  # orientation-dependent
+    ("build-59", "--p", "17"),  # reject
+    ("verify-group-rep", str(FIXTURES / "comer113_partition.txt"), "--spec", "52_65",
+     "--method", "both", "--no-early-exit"),
+    ("validate-fixture", _H52, "--t", "5"),  # weights fail, verification skipped
+])
+def test_table_is_rendered_from_the_json_payload_alone(capsys, argv):
+    json_code, json_out, _ = run_cli(capsys, "--format", "json", *argv)
+    code, out, _ = run_cli(capsys, "--format", "table", *argv)
+    args = _build_parser().parse_args(argv)
+    assert "\n".join(args.table(args, json.loads(json_out))) + "\n" == out
+    assert code == json_code

@@ -124,3 +124,21 @@ def test_sweep_reports_shapes_only():
     for r in rows:
         assert r["symmetric"] == (((r["p"] - 1) // 2) % 2 == 0)
         assert "allowed" in r or "allowed_ordered" in r
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_sweep_rejects_nonpositive_m(m):
+    with pytest.raises(SchemeError, match="at least 1"):
+        sweep_schemes(10, m)
+
+
+def test_sweep_rows_count_the_cycles_of_the_scheme_payload():
+    rows = {r["p"]: r for r in sweep_schemes(20, 4)}
+    assert sorted(rows) == [5, 13, 17]
+    symmetric = rows[17]  # 16/4 = 4 is even
+    assert symmetric["symmetric"] and symmetric["allowed"] + symmetric["forbidden"] == 20
+    assert symmetric["allowed"] == len(build_scheme(17, 4).to_dict()["allowed"])
+    oriented = rows[13]  # 12/4 = 3 is odd
+    assert oriented["orientation_dependent"] is True
+    assert oriented["allowed_ordered"] == len(build_scheme(13, 4).cycles_ordered)
+    assert "coset_size" not in oriented and "allowed" not in oriented
