@@ -179,6 +179,10 @@ def _cmd_comer(args) -> tuple[dict, int]:
     if args.p is None and not args.sweep_max_p:
         raise StructuralError("either --p or --sweep-max-p is required")
     if args.sweep_max_p:
+        ignored = [flag for flag, value in (("--p", args.p), ("--g", args.g)) if value is not None]
+        if ignored:
+            raise StructuralError(f"--sweep-max-p would ignore {' and '.join(ignored)}: it "
+                                  f"scans every prime with its smallest primitive root")
         return {"sweep": sweep_schemes(args.sweep_max_p, args.m)}, EXIT_OK
     return build_scheme(args.p, args.m, args.g).to_dict(), EXIT_OK
 
@@ -359,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--g", type=int, help="primitive root (default: smallest)")
     p.add_argument("--sweep-max-p", type=int,
-                   help="scan all primes up to this bound instead (uses --m)")
+                   help="scan all primes up to this bound instead (uses --m; not with --p or --g)")
     p.set_defaults(func=_cmd_comer, table=_table_comer)
 
     p = sub.add_parser("build-59", help="build and verify the 59_65 representation")

@@ -120,7 +120,7 @@ class BasisState:
 
     @property
     def order(self) -> int:
-        return int(self.span_mask.sum())
+        return 1 << len(self.vectors)  # the vectors are independent by construction
 
     def span_set(self) -> ElementSet:
         return ElementSet(self.group, self.span_mask)
@@ -322,12 +322,12 @@ class SearchOutcome:
                 "report": self.report.to_dict()}
 
 
-def _seeded_candidates(low: ElementSet, k: int, rng: np.random.Generator) -> list[int]:
+def _seeded_candidates(low: ElementSet, k: int, rng: np.random.Generator) -> np.ndarray:
     # weight-ascending order, ties broken by a seeded shuffle
     candidates = low.indices()
     shuffled = candidates[rng.permutation(candidates.size)]
     by_weight = np.argsort(hamming_weights(k)[shuffled], kind="stable")
-    return [int(v) for v in shuffled[by_weight]]
+    return shuffled[by_weight]
 
 
 def _fold_initial(state: BasisState, elements) -> BasisState:
@@ -342,7 +342,31 @@ def _fold_initial(state: BasisState, elements) -> BasisState:
     return state
 
 
-def _run_restart(start: BasisState, candidates: list[int],
+# Cells of one block of the batched escape test (|H| x candidates), or one
+# candidate's |H| cells once the span alone is larger.
+_ESCAPE_BLOCK_CELLS = 1 << 16
+
+
+def _next_extension(state: BasisState, candidates: np.ndarray, pos: int) -> int:
+    """Position of the first candidate at or after pos that extend_basis
+    accepts, or len(candidates) if none does.
+
+    Candidate v is accepted iff it lies outside the span H and every h ^ v
+    (h in H; nonzero, as v is outside H) is allowed: extend_basis's rule,
+    tested on a block of candidates at a time.
+    """
+    span = np.flatnonzero(state.span_mask)
+    block = max(1, _ESCAPE_BLOCK_CELLS // span.size)
+    for start in range(pos, candidates.size, block):
+        chunk = candidates[start:start + block]
+        ok = ~state.span_mask[chunk] & state.allowed.mask[span[:, None] ^ chunk].all(axis=0)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return start + int(hits[0])
+    return candidates.size
+
+
+def _run_restart(start: BasisState, candidates: np.ndarray,
                  target: int | None, backtrack: int,
                  deadline: float | None) -> BasisState:
     frames: list[list] = [[start, 0]]
@@ -354,21 +378,16 @@ def _run_restart(start: BasisState, candidates: list[int],
         state, pos = frames[-1]
         if target is not None and state.order >= target:
             return state
-        advanced = False
-        while pos < len(candidates):
-            v = candidates[pos]
-            pos += 1
-            if state.span_mask[v]:
-                continue
-            result = extend_basis(state, v)
-            if isinstance(result, BasisState):
-                frames[-1][1] = pos
-                frames.append([result, pos])
-                if result.order > best.order:
-                    best = result
-                advanced = True
-                break
-        if advanced:
+        pos = _next_extension(state, candidates, pos)
+        if pos < candidates.size:
+            result = extend_basis(state, int(candidates[pos]))
+            if not isinstance(result, BasisState):
+                raise RuntimeError(f"batched escape test accepted a candidate that "
+                                   f"extend_basis rejects ({result.reason})")
+            frames[-1][1] = pos + 1
+            frames.append([result, pos + 1])
+            if result.order > best.order:
+                best = result
             continue
         frames[-1][1] = pos
         if len(frames) == 1 or pops_left <= 0:

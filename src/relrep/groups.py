@@ -384,16 +384,17 @@ def span(group: GroupSpec, generators: Iterable[int]) -> Subgroup:
     gens = tuple(group.check_element(v) for v in generators)
     mask = np.zeros(group.order, dtype=bool)
     mask[0] = True
+    members = group._indices[:1]
     for gen in gens:
-        if mask[gen]:
-            continue
-        # current mask is a subgroup; extend by all multiples of gen
-        acc = mask.copy()
+        # members is a subgroup H; H + <gen> is the disjoint union of the
+        # cosets H + j*gen over the multiples j*gen before the first in H
+        reps = [0]
         step = gen
-        while step != 0:
-            acc |= group._translate_mask(mask, step)
+        while not mask[step]:
+            reps.append(step)
             step = group.add(step, gen)
-        mask = acc
+        members = group._index_sub(members[:, None], group._negation_perm[reps]).ravel()
+        mask[members] = True
     return Subgroup(gens, ElementSet._wrap(group, mask))
 
 

@@ -137,6 +137,17 @@ def test_comer_sweep_with_nonpositive_m_exits_2(capsys, m):
     assert "error:" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("extra,named", [
+    (("--p", "113"), "--p"),
+    (("--g", "5"), "--g"),
+    (("--p", "113", "--g", "5"), "--p and --g"),
+])
+def test_comer_sweep_refuses_p_and_g(capsys, extra, named):
+    code, out, err = run_cli(capsys, "comer", "--m", "8", "--sweep-max-p", "20", *extra)
+    assert code == EXIT_ERROR and not out
+    assert f"would ignore {named}:" in err
+
+
 def test_comer_requires_p_or_sweep(capsys):
     code, _, err = run_cli(capsys, "comer", "--m", "8")
     assert code == EXIT_ERROR

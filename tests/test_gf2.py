@@ -2,6 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import REPO_ROOT
+from relrep import gf2
+from relrep.cli import EXIT_REJECT, main
 
 from relrep import (BasisState, ExtensionRejected, GroupSpec,
                     SearchConfig, builtin_52_65, default_threshold, extend_basis,
@@ -241,3 +247,100 @@ def test_search_time_budget_stops():
     assert out.stopped_by == "time"
     assert out.restarts_run <= 1
     assert out.report.verdict in ("accept", "reject")
+
+
+# -- the batched restart against the per-candidate oracle -------------------------
+
+
+def _sequential_restart(start, candidates, target, backtrack):
+    """One extend_basis call per candidate: the accepted vectors in order and
+    the best state, with _run_restart's frames, target and backtracking."""
+    accepted = []
+    frames = [[start, 0]]
+    best = start
+    pops_left = backtrack
+    while True:
+        state, pos = frames[-1]
+        if target is not None and state.order >= target:
+            return accepted, state
+        advanced = False
+        while pos < len(candidates):
+            v = int(candidates[pos])
+            pos += 1
+            result = extend_basis(state, v)
+            if isinstance(result, BasisState):
+                accepted.append(v)
+                frames[-1][1] = pos
+                frames.append([result, pos])
+                if result.order > best.order:
+                    best = result
+                advanced = True
+                break
+        if advanced:
+            continue
+        frames[-1][1] = pos
+        if len(frames) == 1 or pops_left <= 0:
+            return accepted, best
+        frames.pop()
+        pops_left -= 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_batched_restart_matches_sequential_extend_basis(data):
+    k = data.draw(st.integers(4, 10), label="k")
+    t = data.draw(st.integers(1, k - 1), label="t")
+    group = GroupSpec.power(2, k)
+    low = weight_class(group, 1, t)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    start = initial_state(group, low)
+    for v in rng.choice(low.indices(), size=int(rng.integers(0, 4))):
+        grown = extend_basis(start, int(v))
+        if isinstance(grown, BasisState):
+            start = grown
+    candidates = rng.permutation(low.indices())
+    target = data.draw(st.sampled_from([None, 4, 16, 64]), label="target")
+    backtrack = data.draw(st.integers(0, 3), label="backtrack")
+    # small blocks put accepts on block boundaries and spans wider than a block
+    block_cells = data.draw(st.sampled_from([1, 5, 64, gf2._ESCAPE_BLOCK_CELLS]),
+                            label="block_cells")
+
+    expected, expected_best = _sequential_restart(start, candidates, target, backtrack)
+
+    accepted = []
+
+    def recording(state, v):
+        result = extend_basis(state, v)
+        if isinstance(result, BasisState):
+            accepted.append(v)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2, "extend_basis", recording)
+        patch.setattr(gf2, "_ESCAPE_BLOCK_CELLS", block_cells)
+        best = gf2._run_restart(start, candidates, target, backtrack, None)
+    assert accepted == expected
+    assert best.vectors == expected_best.vectors
+    assert np.array_equal(best.span_mask, expected_best.span_mask)
+    assert best.order == int(best.span_mask.sum())
+
+
+# -- search-gf2 output pinned to the per-candidate search ----------------------------
+
+PINNED = REPO_ROOT / "tests" / "pinned"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("k7_seed1", ("--k", "7", "--restarts", "8", "--backtrack", "2", "--seed", "1")),
+    ("k7_seed2", ("--k", "7", "--restarts", "8", "--backtrack", "2", "--seed", "2")),
+    ("k10_seed1", ("--k", "10", "--target-order", "64", "--seed", "1")),
+    ("k10_seed2", ("--k", "10", "--target-order", "64", "--seed", "2")),
+    ("k13_seed1", ("--k", "13", "--restarts", "1", "--seed", "1")),
+    ("k13_seed2", ("--k", "13", "--restarts", "1", "--seed", "2")),
+])
+def test_search_gf2_json_bytes_pinned(capsys, name, argv):
+    # recorded with the search that called extend_basis once per candidate
+    code = main(["--format", "json", "search-gf2", *argv])
+    out = capsys.readouterr().out
+    assert code == EXIT_REJECT
+    assert out == (PINNED / f"search_gf2_{name}.json").read_text()

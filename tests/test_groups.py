@@ -233,6 +233,28 @@ def test_span_is_closed():
             assert g.add(x, y) in members
 
 
+def _closure(group: GroupSpec, generators) -> set[int]:
+    """Definitional span: add generators to {0} until nothing new appears."""
+    members = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for gen in generators:
+            y = group.add(x, gen)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(3, 4, 5), (4, 6), (2, 2, 2, 2), (12,), (2, 4, 3)]), st.data())
+def test_span_matches_definitional_closure(moduli, data):
+    g = GroupSpec(moduli)
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    assert set(span(g, gens).elements) == _closure(g, gens)
+
+
 def test_span_of_shipped_fixture_has_order_64(fixtures_dir):
     from relrep import parse_bitstrings
     g = GroupSpec.power(2, 10)

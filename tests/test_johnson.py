@@ -223,6 +223,21 @@ def test_mc_trial_deterministic():
     assert len(a.records) == 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mc_trial_bcc_count_covers_small_meet_same_class_pairs(seed):
+    # same-class x, y with |x n y| <= 1 have no b,c,c witness: z would need
+    # n - 2 elements outside x u y, and only n - 4 + |x n y| <= n - 3 are there
+    u = JohnsonUniverse(5)
+    part = random_equitable_partition(u, (seed, 0))  # mc_trial's trial 0
+    masks = u.point_bitmasks
+    meets = np.bitwise_count(masks[:, None] & masks[None, :])
+    same = part.assignment[:, None] == part.assignment[None, :]
+    small_meet_pairs = int((same & (meets <= 1)).sum())
+    assert small_meet_pairs > 0
+    record = mc_trial(5, 1, seed=seed).records[0]
+    assert record.counts_by_cycle["b,c,c"] >= small_meet_pairs
+
+
 def test_mc_trial_guards():
     with pytest.raises(ValueError, match="divisible"):
         mc_trial(4, 1, seed=0)
