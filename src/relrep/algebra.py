@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IDENTITY = "1'"
 
@@ -110,6 +110,13 @@ class RaSpec:
             a for a in self.diversity_atoms
             if tuple(sorted((a.index, ja.index, ka.index))) in self._cycles)
         return profile, ja == ka
+
+    def pair_profiles(self) -> Iterator[tuple[str, str, tuple[str, ...], bool]]:
+        """(j, k, sorted profile atom names, include_zero) for each diversity
+        pair j <= k, in atom order."""
+        for j, k in combinations_with_replacement(self.diversity_atoms, 2):
+            profile, include_zero = self.required_sumset_profile(j, k)
+            yield j.name, k.name, tuple(sorted(a.name for a in profile)), include_zero
 
     def all_diversity_triples(self) -> list[tuple[Atom, Atom, Atom]]:
         return list(combinations_with_replacement(self.diversity_atoms, 3))

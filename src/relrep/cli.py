@@ -13,7 +13,6 @@ import json
 import os
 import secrets
 import sys
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 from .algebra import RaSpec, builtin, parse_spec
@@ -150,17 +149,12 @@ def _effective_seed(value: int | None) -> int:
 
 def _cmd_show_algebra(args) -> tuple[dict, int]:
     spec = _load_spec(args.spec)
-    profiles = []
-    for left, right in combinations_with_replacement([a.name for a in spec.diversity_atoms], 2):
-        prof, zero = spec.required_sumset_profile(left, right)
-        profiles.append({"pair": [left, right],
-                         "atoms": sorted(a.name for a in prof),
-                         "include_zero": zero})
     return {"name": spec.label,
             "atoms": [a.name for a in spec.atoms],
             "allowed_cycles": ["".join(t) for t in spec.cycle_names()],
             "forbidden_cycles": ["".join(t) for t in spec.forbidden_cycle_names()],
-            "profiles": profiles}, EXIT_OK
+            "profiles": [{"pair": [j, k], "atoms": list(atoms), "include_zero": zero}
+                         for j, k, atoms, zero in spec.pair_profiles()]}, EXIT_OK
 
 
 def _cmd_verify_group_rep(args) -> tuple[dict, int]:

@@ -9,6 +9,7 @@ restart search with greedy basis growth and optional backtracking.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -84,11 +85,13 @@ def _identity_check(name: str, actual: ElementSet, expected: ElementSet) -> Iden
                          f"{len(missing)} missing, {len(extra)} unexpected")
 
 
+@functools.lru_cache(maxsize=None)
 def precheck(k: int, t: int) -> PrecheckReport:
     """Exact sumset identities the weight split must satisfy before any search.
 
     X = weights 1..t and C = weights t+1..k must give X+X = G,
-    X+C = G\\{0} and C+C = G\\C (C maximal sum-free).
+    X+C = G\\{0} and C+C = G\\C (C maximal sum-free).  The answer depends on
+    (k, t) alone, so it is computed once per pair; the report is immutable.
     """
     group = GroupSpec.power(2, k)
     if not 1 <= t < k:

@@ -272,9 +272,6 @@ class ElementSet:
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a & ~b)
 
-    def __xor__(self, other):
-        return self._binary(other, np.logical_xor)
-
     def __le__(self, other) -> bool:
         _same_group(self, other)
         return bool(np.all(~self.mask | other.mask))
@@ -289,10 +286,6 @@ class ElementSet:
     @property
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.mask, self.mask[self.group._negation_perm]))
-
-    def translate(self, c: int) -> "ElementSet":
-        """The shifted set S + c."""
-        return ElementSet._wrap(self.group, self.group._translate_mask(self.mask, c))
 
 
 def _same_group(left: ElementSet, right: ElementSet) -> GroupSpec:

@@ -62,6 +62,9 @@ class JohnsonUniverse:
         Colex order of n-subsets is the increasing order of their bitmasks, so
         the masks are the ground-size-bit integers of popcount n, ascending.
         """
+        if self.ground_size > 32:
+            raise ValueError(f"point bitmasks are uint32: ground size {self.ground_size} "
+                             f"(n = {self.n}) is over 32")
         every = np.arange(1 << self.ground_size, dtype=np.uint32)
         masks = every[np.bitwise_count(every) == self.n]
         masks.setflags(write=False)

@@ -9,10 +9,10 @@ property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -97,18 +97,49 @@ class PairCheck:
 
 @dataclass
 class VerificationReport:
+    """A verifier's findings, recorded into an initially empty report.
+
+    ``record`` counts every violation and keeps the first ``max_recorded``.
+    Under ``early_exit`` the first recorded violation stops the report: later
+    ``record`` calls do nothing, and each verifier ends its pair walk.
+    """
+
     method: str
-    accepted: bool
-    pair_checks: list[PairCheck]
-    violations: list[Violation]
-    violation_count: int
-    counts_by_kind: dict[str, int]
-    counts_by_cycle: dict[str, int]
-    truncated: bool
+    early_exit: bool = False
+    max_recorded: int = DEFAULT_VIOLATION_CAP
+    pair_checks: list[PairCheck] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
+    violation_count: int = 0
+    counts_by_kind: dict[str, int] = field(default_factory=dict)
+    counts_by_cycle: dict[str, int] = field(default_factory=dict)
+    stopped: bool = False
+
+    @property
+    def accepted(self) -> bool:
+        return self.violation_count == 0
+
+    @property
+    def truncated(self) -> bool:
+        return self.stopped or self.violation_count > len(self.violations)
 
     @property
     def verdict(self) -> str:
         return "accept" if self.accepted else "reject"
+
+    def record(self, kind: str, cycle: tuple[str, str, str] | None,
+               wheres: Iterable[str], total: int) -> None:
+        """Count ``total`` violations of one kind and cycle, located by ``wheres``."""
+        if self.stopped or total <= 0:
+            return
+        self.violation_count += total
+        self.counts_by_kind[kind] = self.counts_by_kind.get(kind, 0) + total
+        if cycle is not None:
+            key = ",".join(cycle)
+            self.counts_by_cycle[key] = self.counts_by_cycle.get(key, 0) + total
+        room = self.max_recorded - len(self.violations)
+        self.violations.extend(Violation(kind, cycle, where)
+                               for where in islice(wheres, max(room, 0)))
+        self.stopped = self.early_exit
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict,
@@ -119,49 +150,6 @@ class VerificationReport:
                 "counts_by_kind": dict(sorted(self.counts_by_kind.items())),
                 "counts_by_cycle": dict(sorted(self.counts_by_cycle.items())),
                 "truncated": self.truncated}
-
-
-class _Collector:
-    """Accumulates violations under a recording cap and an early-exit flag."""
-
-    def __init__(self, early_exit: bool, max_recorded: int):
-        self.early_exit = early_exit
-        self.max_recorded = max_recorded
-        self.violations: list[Violation] = []
-        self.count = 0
-        self.by_kind: dict[str, int] = {}
-        self.by_cycle: dict[str, int] = {}
-        self.stop = False
-
-    def add(self, kind: str, cycle: tuple[str, str, str] | None, where: str) -> None:
-        self.add_bulk(kind, cycle, [where], 1)
-
-    def add_bulk(self, kind, cycle, wheres, total: int) -> None:
-        if total <= 0:
-            return
-        self.count += total
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + total
-        if cycle is not None:
-            key = ",".join(cycle)
-            self.by_cycle[key] = self.by_cycle.get(key, 0) + total
-        room = self.max_recorded - len(self.violations)
-        if room > 0:
-            for where in islice(wheres, room):
-                self.violations.append(Violation(kind, cycle, where))
-        if self.early_exit:
-            self.stop = True
-
-    def report(self, method: str, pair_checks: list[PairCheck]) -> VerificationReport:
-        return VerificationReport(
-            method=method,
-            accepted=self.count == 0,
-            pair_checks=pair_checks,
-            violations=self.violations,
-            violation_count=self.count,
-            counts_by_kind=self.by_kind,
-            counts_by_cycle=self.by_cycle,
-            truncated=self.stop or self.count > len(self.violations),
-        )
 
 
 class ColoredPartition:
@@ -324,62 +312,45 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
     """
     names = _check_atoms_match(spec, list(part.assignment))
     group = part.group
-    collector = _Collector(early_exit, max_recorded)
+    report = VerificationReport("sumsets", early_exit, max_recorded)
     sets = part.assignment
 
-    for name in names:
-        if len(sets[name]) == 0:
-            collector.add(EMPTY_ATOM, None, name)
+    def elements(mask: np.ndarray):
+        return (group.format_element(int(e)) for e in np.flatnonzero(mask))
 
-    pair_checks: list[PairCheck] = []
-    for j_pos in range(len(names)):
-        if collector.stop:
+    empty = [name for name in names if len(sets[name]) == 0]
+    report.record(EMPTY_ATOM, None, empty, len(empty))
+
+    for j, k, profile_names, include_zero in spec.pair_profiles():
+        if report.stopped:
             break
-        for k_pos in range(j_pos, len(names)):
-            if collector.stop:
-                break
-            j, k = names[j_pos], names[k_pos]
-            profile, include_zero = spec.required_sumset_profile(j, k)
-            profile_names = sorted(a.name for a in profile)
-            actual = sumset(sets[j], sets[k])
-            has_zero = 0 in actual
-            if sets[j] and sets[k] and has_zero != include_zero:
-                # structurally guaranteed; a failure here is a sumset bug
-                raise AssertionError("zero membership inconsistent with structure")
-            expected = np.zeros(group.order, dtype=bool)
-            for name in profile_names:
-                expected |= sets[name].mask
-            if include_zero:
-                expected[0] = True
-            actual_atoms = tuple(n for n in names if bool(sets[n] & actual))
-            ok = bool(np.array_equal(expected, actual.mask))
-            pair_checks.append(PairCheck(j, k, tuple(profile_names), include_zero,
-                                         actual_atoms, has_zero, ok))
-            if ok:
-                continue
-            for i in profile_names:
-                missing = sets[i].mask & ~actual.mask
-                collector.add_bulk(
-                    MISSING_WITNESS, (i, j, k),
-                    (group.format_element(int(e)) for e in np.flatnonzero(missing)),
-                    int(missing.sum()))
-                if collector.stop:
-                    break
-            if not collector.stop:
-                for i in (n for n in names if n not in profile_names):
-                    extra = sets[i].mask & actual.mask
-                    collector.add_bulk(
-                        FORBIDDEN_REALIZED, (i, j, k),
-                        (group.format_element(int(e)) for e in np.flatnonzero(extra)),
-                        int(extra.sum()))
-                    if collector.stop:
-                        break
-            if not collector.stop:
-                if include_zero and not has_zero:
-                    collector.add(MISSING_WITNESS, (IDENTITY, j, k), group.format_element(0))
-                elif has_zero and not include_zero:
-                    collector.add(FORBIDDEN_REALIZED, (IDENTITY, j, k), group.format_element(0))
-    return collector.report("sumsets", pair_checks)
+        actual = sumset(sets[j], sets[k])
+        has_zero = 0 in actual
+        if sets[j] and sets[k] and has_zero != include_zero:
+            # structurally guaranteed; a failure here is a sumset bug
+            raise AssertionError("zero membership inconsistent with structure")
+        expected = np.zeros(group.order, dtype=bool)
+        for name in profile_names:
+            expected |= sets[name].mask
+        if include_zero:
+            expected[0] = True
+        actual_atoms = tuple(n for n in names if bool(sets[n] & actual))
+        ok = bool(np.array_equal(expected, actual.mask))
+        report.pair_checks.append(PairCheck(j, k, profile_names, include_zero,
+                                            actual_atoms, has_zero, ok))
+        if ok:
+            continue
+        for i in profile_names:
+            missing = sets[i].mask & ~actual.mask
+            report.record(MISSING_WITNESS, (i, j, k), elements(missing), int(missing.sum()))
+        for i in names:
+            if i not in profile_names:
+                extra = sets[i].mask & actual.mask
+                report.record(FORBIDDEN_REALIZED, (i, j, k), elements(extra), int(extra.sum()))
+        if include_zero and not has_zero:
+            # only possible when S_j is empty; the check above rules out 0 where j != k
+            report.record(MISSING_WITNESS, (IDENTITY, j, k), [group.format_element(0)], 1)
+    return report
 
 
 def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
@@ -396,61 +367,41 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
-    collector = _Collector(early_exit, max_recorded)
+    report = VerificationReport("bruteforce", early_exit, max_recorded)
     masks = {n: coloring.atom_mask(n) for n in names}
     floats = {n: masks[n].astype(np.float32) for n in names}
 
-    for name in names:
-        if not masks[name].any():
-            collector.add(EMPTY_ATOM, None, name)
-
-    def edge_labels(bad: np.ndarray):
-        for x, y in _true_cells(bad):
-            yield f"({x},{y})"
+    empty = [name for name in names if not masks[name].any()]
+    report.record(EMPTY_ATOM, None, empty, len(empty))
 
     def triangle_labels(bad: np.ndarray, j: str, k: str):
         for x, y in _true_cells(bad):
             z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
             yield f"({x},{z},{y})"
 
-    pair_checks: list[PairCheck] = []
-    for j_pos in range(len(names)):
-        if collector.stop:
+    for j, k, profile_names, include_zero in spec.pair_profiles():
+        if report.stopped:
             break
-        for k_pos in range(j_pos, len(names)):
-            if collector.stop:
+        reach = _witness_reach(floats[j], floats[k])
+        actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
+        has_zero = bool(np.diagonal(reach).any())
+        before = report.violation_count
+        for i in names:
+            if report.stopped:
                 break
-            j, k = names[j_pos], names[k_pos]
-            profile, include_zero = spec.required_sumset_profile(j, k)
-            profile_names = sorted(a.name for a in profile)
-            reach = _witness_reach(floats[j], floats[k])
-            actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
-            has_zero = bool(np.diagonal(reach).any())
-            ok = True
-            for i in names:
-                if collector.stop:
-                    break
-                if i in profile_names:
-                    bad = masks[i] & ~reach
-                    if bad.any():
-                        ok = False
-                        collector.add_bulk(MISSING_WITNESS, (i, j, k),
-                                           edge_labels(bad),
-                                           int(np.count_nonzero(bad)))
-                else:
-                    bad = masks[i] & reach
-                    if bad.any():
-                        ok = False
-                        collector.add_bulk(FORBIDDEN_REALIZED, (i, j, k),
-                                           triangle_labels(bad, j, k),
-                                           int(np.count_nonzero(bad)))
-            if not collector.stop and include_zero and not has_zero:
-                # only possible when S_j is empty; mirror the sumset verifier
-                ok = False
-                collector.add(MISSING_WITNESS, (IDENTITY, j, k), "(diagonal)")
-            pair_checks.append(PairCheck(j, k, tuple(profile_names), include_zero,
-                                         actual_atoms, has_zero, ok))
-    return collector.report("bruteforce", pair_checks)
+            if i in profile_names:
+                kind, bad = MISSING_WITNESS, masks[i] & ~reach
+                wheres = (f"({x},{y})" for x, y in _true_cells(bad))
+            else:
+                kind, bad = FORBIDDEN_REALIZED, masks[i] & reach
+                wheres = triangle_labels(bad, j, k)
+            report.record(kind, (i, j, k), wheres, int(np.count_nonzero(bad)))
+        if include_zero and not has_zero:
+            # only possible when S_j is empty; mirror the sumset verifier
+            report.record(MISSING_WITNESS, (IDENTITY, j, k), ["(diagonal)"], 1)
+        report.pair_checks.append(PairCheck(j, k, profile_names, include_zero, actual_atoms,
+                                            has_zero, report.violation_count == before))
+    return report
 
 
 @dataclass(frozen=True)

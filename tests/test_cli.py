@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, REPO_ROOT
 from relrep import GroupSpec, StructuralError
 from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, _build_parser,
                         format_group_flag, load_partition, main, parse_group_flag,
                         write_partition)
+
+PINNED = REPO_ROOT / "tests" / "pinned"
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +193,23 @@ def test_verify_group_rep_rejects_wrong_spec(capsys):
     assert payload["verdict"] == "reject"
     report = payload["reports"]["sumsets"]
     assert report["violation_count"] > 0
+
+
+_VERIFY_INPUTS = {"z113": FIXTURES / "comer113_partition.txt",
+                  "gf2_6": PINNED / "gf2_6_partition.txt"}
+
+
+@pytest.mark.parametrize("mode", ["early", "full"])
+@pytest.mark.parametrize("spec", ["52_65", "59_65"])
+@pytest.mark.parametrize("name", sorted(_VERIFY_INPUTS))
+def test_verify_group_rep_json_bytes_pinned(capsys, name, spec, mode):
+    # recorded before both verifiers recorded violations through VerificationReport.record
+    extra = ("--no-early-exit",) if mode == "full" else ()
+    code = main(["--format", "json", "verify-group-rep", str(_VERIFY_INPUTS[name]),
+                 "--spec", spec, "--method", "both", *extra])
+    out = capsys.readouterr().out
+    assert code == (EXIT_OK if json.loads(out)["verdict"] == "accept" else EXIT_REJECT)
+    assert out == (PINNED / f"verify_group_rep_{name}_{spec}_{mode}.json").read_text()
 
 
 def test_verify_group_rep_structural_error_exits_2(capsys, tmp_path):

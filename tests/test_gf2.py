@@ -59,6 +59,19 @@ def test_precheck_validation():
         precheck(10, 10)
 
 
+def test_precheck_is_computed_once_per_k_and_t(monkeypatch):
+    first = precheck(9, 5)
+
+    def no_sumset(*args):
+        raise AssertionError("precheck recomputed a sumset")
+
+    monkeypatch.setattr(gf2, "sumset", no_sumset)
+    assert precheck(9, 5) is first
+    for _ in range(2):  # a failed call is not cached: it raises every time
+        with pytest.raises(ValueError):
+            precheck(9, 9)
+
+
 # -- extend_basis ------------------------------------------------------------------
 
 

@@ -59,6 +59,15 @@ def test_point_bitmasks_have_weight_n():
     assert all(int(m).bit_count() == 5 for m in masks[:20])
 
 
+def test_point_bitmasks_refuse_a_ground_set_over_32_bits():
+    # n = 13 is the paper's first n with bound < 1; its ground set has 35 elements,
+    # so its masks need 2^35 uint32 candidates and do not fit in 32 bits
+    u = JohnsonUniverse(13)
+    assert u.ground_size == 35
+    with pytest.raises(ValueError, match="ground size 35"):
+        u.point_bitmasks
+
+
 # -- classification -----------------------------------------------------------
 
 

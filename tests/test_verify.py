@@ -111,14 +111,22 @@ def test_early_exit_and_cap():
     assert full.truncated
 
 
-def test_all_one_atom_partition_counts_empty_atoms():
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("method", ["sumsets", "bruteforce"])
+def test_all_one_atom_partition_counts_empty_atoms(method, early_exit):
     g = GroupSpec.cyclic(7)
     part = ColoredPartition(g, {"a": ElementSet.from_indices(g, range(1, 7)),
                                 "b": ElementSet.empty(g),
                                 "c": ElementSet.empty(g)})
-    report = verify_sumsets(builtin_52_65(), part, early_exit=False)
+    report = (verify_sumsets(builtin_52_65(), part, early_exit=early_exit)
+              if method == "sumsets"
+              else verify_bruteforce(builtin_52_65(), cayley_coloring(part),
+                                     early_exit=early_exit))
     assert not report.accepted
     assert report.counts_by_kind[EMPTY_ATOM] == 2
+    assert [v.where for v in report.violations[:2]] == ["b", "c"]
+    if early_exit:  # the empty atoms' one record stops the walk before any pair
+        assert report.violation_count == 2 and report.truncated and not report.pair_checks
 
 
 def test_forbidden_realized_detected():
