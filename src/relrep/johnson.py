@@ -5,6 +5,14 @@ set of size 3n-4.  A random split of the universe into three equal classes
 induces an edge coloring (same class = b, big intersection = a, small = c)
 whose failure probability admits a closed-form bound; the calculator here
 reproduces the minimal sufficient n = 13 exactly.
+
+``mc_trial`` brute-force verifies such colorings, and under this reading
+they provably reject: same-class points x, y meeting in s elements leave
+n - 4 + s ground elements outside x | y, a b,c,c witness z needs n - 2 of
+them, so a same-class pair with s <= 1 has none.  At n = 5 and 6 every class
+holds such a pair, since it is larger than any family of n-sets that pairwise
+meet in two or more elements.  ``mc_trial`` is a stress workload for the
+brute-force verifier, not a check of the paper's construction.
 """
 
 from __future__ import annotations
@@ -113,8 +121,9 @@ def classify(u: JohnsonUniverse, part: EquitablePartition, x: int, y: int) -> st
     """Atom name for the point pair (x, y), given as ranks.
 
     Same-class pairs are b regardless of intersection size; the intersection
-    rule (a for >= 2, c for <= 1) applies only across classes, which is the
-    unique reading making the three relations disjoint.
+    rule (a for >= 2, c for <= 1) applies only across classes, which makes the
+    three relations disjoint.  Under this reading a same-class pair meeting
+    in at most one element has no b,c,c witness, so 52_65 fails.
     """
     if x == y:
         return IDENTITY
@@ -236,9 +245,12 @@ class McReport:
 def mc_trial(n: int, trials: int, seed: int) -> McReport:
     """Sample equitable partitions and brute-force verify each against 52_65.
 
-    Trial t uses the derived seed (seed, t), so trials are independent and
-    the whole report is deterministic for a fixed base seed.  A universe whose
-    coloring exceeds ``verify.MEMORY_BUDGET`` (n = 6 fits, n = 8 does not) raises
+    Every trial at n = 5 and 6 rejects (see the module docstring), so this is
+    a stress workload for ``verify_bruteforce`` at large N, not evidence for
+    or against the probabilistic construction.  Trial t uses the derived seed
+    (seed, t), so trials are independent and the whole report is deterministic
+    for a fixed base seed.  A universe whose coloring exceeds
+    ``verify.MEMORY_BUDGET`` (n = 6 fits, n = 8 does not) raises
     ``MemoryGuardError`` before its O(N) shuffle, 12 GB at n = 13, is drawn.
     """
     if trials < 0:

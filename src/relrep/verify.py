@@ -26,15 +26,21 @@ EMPTY_ATOM = "empty_atom"
 DEFAULT_VIOLATION_CAP = 100
 
 # The one limit on N^2 work.  Building and brute-force verifying an N-point,
-# A-atom coloring peaks near N^2 (5 A + 11) bytes, fitted to measured peak RSS:
-# a bool mask and a float32 copy per atom, the colors, the bool reach and
-# violation masks of one atom pair, and one 16 MiB block of float32 counts.
+# A-atom coloring peaks near N^2 (7 A + 5) bytes, fitted to measured peak RSS:
+# a bool mask per atom, a float32 copy and a uint16 remainder per atom but the
+# last, the colors, the bool reach and violation masks of one atom pair, and
+# one 16 MiB block of float32 counts.
 MEMORY_BUDGET = 4 << 30
 
 # float32 holds every integer below 2^24 exactly and a witness count is at most
 # the number of points, so a float32 product of 0/1 matrices counts witnesses
 # exactly below 2^24 points.  The memory guard keeps colorings far smaller.
 _FLOAT32_EXACT_POINTS = 1 << 24
+
+# A remainder of verify_bruteforce lies between 0 and an atom's degree, which is
+# below the number of points, so uint16 remainders are exact below 2^16 points.
+# The memory guard keeps colorings far smaller.
+_UINT16_EXACT_POINTS = 1 << 16
 
 # Cells of one row block of a witness product: 2^22 float32 counts (16 MiB)
 # ran as fast as the whole product at N = 3003; much smaller blocks cost more.
@@ -55,7 +61,7 @@ class MemoryGuardError(ValueError):
 
 def check_coloring_memory(points: int, atoms: int) -> None:
     """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
-    need = points * points * (5 * atoms + 11)
+    need = points * points * (7 * atoms + 5)
     if need > MEMORY_BUDGET:
         raise MemoryGuardError(
             f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
@@ -249,11 +255,11 @@ class EdgeColoring:
         return self.colors == code
 
 
-def _witness_reach(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product of 0/1 float32 matrices: True at (x, y) iff a[x, z] b[z, y] for some z.
+def _witness_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, stop, counts) for each row block of the float32 product a @ b.
 
-    The float32 counts are computed one row block of _WITNESS_BLOCK_CELLS cells
-    at a time, so no full-size float product is ever held.
+    A block has at most _WITNESS_BLOCK_CELLS cells, and every block is computed
+    into one buffer, so no full-size float product is ever held.
     """
     if a.shape[1] >= _FLOAT32_EXACT_POINTS:
         raise ValueError(
@@ -261,13 +267,33 @@ def _witness_reach(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"only below {_FLOAT32_EXACT_POINTS} points")
     rows, cols = a.shape[0], b.shape[1]
     step = max(1, _WITNESS_BLOCK_CELLS // cols)
-    reach = np.empty((rows, cols), dtype=bool)
     counts = np.empty((min(step, rows), cols), dtype=np.float32)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block = np.matmul(a[start:stop], b, out=counts[:stop - start])
-        np.greater(block, 0, out=reach[start:stop])
+        yield start, stop, np.matmul(a[start:stop], b, out=counts[:stop - start])
+
+
+def _witness_reach(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product of 0/1 float32 matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
+    reach = np.empty((a.shape[0], b.shape[1]), dtype=bool)
+    for start, stop, counts in _witness_blocks(a, b):
+        np.greater(counts, 0, out=reach[start:stop])
     return reach
+
+
+def _remainder(mask: np.ndarray, by_rows: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """deg(x) - mask[x, y] (by rows) or deg(y) - mask[x, y] (by columns), as uint16.
+
+    ``verify_bruteforce`` subtracts witness counts from it down to a count of
+    its own, so every value it takes lies between 0 and a degree, which is
+    below the number of points.
+    """
+    if mask.shape[0] >= _UINT16_EXACT_POINTS:
+        raise ValueError(
+            f"remainder over {mask.shape[0]} points: uint16 counts are exact "
+            f"only below {_UINT16_EXACT_POINTS} points")
+    degree = mask.sum(axis=1, dtype=np.uint16)
+    return np.subtract(degree[:, None] if by_rows else degree, mask, out=out)
 
 
 def _true_cells(mask: np.ndarray):
@@ -358,18 +384,44 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
                       max_recorded: int = DEFAULT_VIOLATION_CAP) -> VerificationReport:
     """Exhaustively check witness existence and forbidden triangles.
 
-    For each unordered diversity pair (j, k), a boolean matrix product gives
-    the set of edges (x, y) admitting a point z with (x, z) colored j and
-    (z, y) colored k.  Every edge colored by a profile atom of (j, k) must be
-    such an edge; no edge colored outside the profile may be.  Every atom
-    must color at least one edge (faithfulness).  Identity cycles need no
-    check: z = x or z = y witnesses them on any well-formed coloring.
+    For each unordered diversity pair (j, k), the witness counts A_j A_k of the
+    atoms' 0/1 matrices give the set of edges (x, y) admitting a point z with
+    (x, z) colored j and (z, y) colored k.  Every edge colored by a profile
+    atom of (j, k) must be such an edge; no edge colored outside the profile
+    may be.  Every atom must color at least one edge (faithfulness).  Identity
+    cycles need no check: z = x or z = y witnesses them on any well-formed
+    coloring.
+
+    Only the products of two atoms before the last atom L (in spec order) are
+    float32 matrix products: A(A - 1)/2 of them for A atoms, not A(A + 1)/2.
+    A validated coloring gives each off-diagonal edge exactly one diversity
+    atom and each diagonal point the identity, so the diversity atoms sum to
+    J - I.  Hence sum_k A_j A_k = deg_j(x) - A_j by rows and
+    sum_i A_i A_k = deg_k(y) - A_k by columns, and the products with L follow
+    in exact integer arithmetic:
+
+    - A_j A_L = deg_j(x) - A_j - sum_{k != L} A_j A_k, the row remainder
+      that the first atom keeps;
+    - A_L A_k = deg_k(y) - A_k - sum_{i != L} A_i A_k, the column remainder
+      that each other atom keeps (A_k A_L is its transpose);
+    - A_L A_L = deg_L(x) - A_L - sum_{k != L} A_L A_k.
+
+    Each remainder is a uint16 matrix, from which the witness product
+    subtracts every block of counts it computes.
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     report = VerificationReport("bruteforce", early_exit, max_recorded)
     masks = {n: coloring.atom_mask(n) for n in names}
-    floats = {n: masks[n].astype(np.float32) for n in names}
+    first, last = (names[0], names[-1]) if names else (None, None)
+    floats = {n: masks[n].astype(np.float32) for n in names if n != last}
+    # the first atom keeps a row remainder and every other atom before L a
+    # column remainder, so with three atoms no count is subtracted transposed.
+    # They share one array, and each is filled when counts are first subtracted
+    # from it: the pages of one that an early exit never reaches stay unwritten.
+    remainders = dict(zip(floats, np.empty((len(floats),) + coloring.colors.shape,
+                                           dtype=np.uint16)))
+    filled = set()
 
     empty = [name for name in names if not masks[name].any()]
     report.record(EMPTY_ATOM, None, empty, len(empty))
@@ -379,10 +431,52 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
             yield f"({x},{z},{y})"
 
+    def subtract(drains, start: int, counts: np.ndarray) -> None:
+        stop = start + len(counts)
+        for name, transposed in drains:
+            rest = remainders[name]
+            if name not in filled:
+                filled.add(name)
+                _remainder(masks[name], by_rows=name == first, out=rest)
+            target = rest[:, start:stop].T if transposed else rest[start:stop]
+            np.subtract(target, counts, out=target, casting="unsafe")
+
+    def product(j: str, k: str):
+        """The witness reach of (j, k), its drains, and its counts if still to subtract.
+
+        A_j A_k counts toward k's column remainder, and toward j's row
+        remainder (j first) or, transposed, its column remainder.  A product
+        of several row blocks is subtracted block by block.  A product of one
+        block is returned whole and subtracted only once the pair is checked,
+        so a pair that ends an early-exit walk costs no upkeep.
+        """
+        drains = [(k, False)] if k != first else []
+        if j == first or j != k:
+            drains.append((j, j != first))
+        reach = np.empty_like(masks[j])
+        for start, stop, counts in _witness_blocks(floats[j], floats[k]):
+            np.greater(counts, 0, out=reach[start:stop])
+            if stop - start == len(reach):
+                return reach, drains, counts
+            subtract(drains, start, counts)
+        return reach, drains, None
+
     for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        reach = _witness_reach(floats[j], floats[k])
+        # reach is the pair's witness reach, or its transpose when flipped;
+        # the masks are symmetric, so (masks & reach).T is the pair's own mask
+        flipped, pending = False, None
+        if k != last:
+            reach, drains, pending = product(j, k)
+        elif j != last:
+            reach, flipped = remainders[j] > 0, j != first
+        else:
+            floats.clear()
+            counts = _remainder(masks[last], by_rows=True)
+            for name, rest in remainders.items():
+                counts -= rest.T if name == first else rest
+            reach = counts > 0
         actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
         has_zero = bool(np.diagonal(reach).any())
         before = report.violation_count
@@ -391,16 +485,20 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
                 break
             if i in profile_names:
                 kind, bad = MISSING_WITNESS, masks[i] & ~reach
-                wheres = (f"({x},{y})" for x, y in _true_cells(bad))
             else:
                 kind, bad = FORBIDDEN_REALIZED, masks[i] & reach
-                wheres = triangle_labels(bad, j, k)
+            if flipped:
+                bad = bad.T
+            wheres = (triangle_labels(bad, j, k) if kind == FORBIDDEN_REALIZED
+                      else (f"({x},{y})" for x, y in _true_cells(bad)))
             report.record(kind, (i, j, k), wheres, int(np.count_nonzero(bad)))
         if include_zero and not has_zero:
             # only possible when S_j is empty; mirror the sumset verifier
             report.record(MISSING_WITNESS, (IDENTITY, j, k), ["(diagonal)"], 1)
         report.pair_checks.append(PairCheck(j, k, profile_names, include_zero, actual_atoms,
                                             has_zero, report.violation_count == before))
+        if pending is not None and not report.stopped:
+            subtract(drains, 0, pending)
     return report
 
 

@@ -274,6 +274,16 @@ def test_johnson_mc_deterministic_output(capsys):
     assert payload["seed"] == 9 and payload["trials"] == 2
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_johnson_mc_json_bytes_pinned(capsys, seed):
+    # recorded while verify_bruteforce still multiplied every atom pair; the
+    # n = 6 file is compared in CI, the one input whose products span several row blocks
+    code = main(["--format", "json", "johnson-mc", "--n", "5", "--trials", "1",
+                 "--seed", str(seed)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (PINNED / f"johnson_mc_n5_seed{seed}.json").read_text()
+
+
 def test_johnson_mc_derives_and_echoes_seed(capsys):
     code, payload, _ = run_json(capsys, "johnson-mc", "--n", "5", "--trials", "0")
     assert code == EXIT_OK

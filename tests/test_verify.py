@@ -4,9 +4,13 @@ import json
 import math
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_symmetric_partition
 from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
@@ -15,9 +19,10 @@ from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
                     JohnsonUniverse, equivalence_classes, verify_bruteforce,
                     verify_sumsets, weight_class)
 import relrep.verify
+from relrep.algebra import IDENTITY
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           MemoryGuardError, _true_cells, _witness_reach,
-                           check_coloring_memory)
+                           MemoryGuardError, PairCheck, VerificationReport, _remainder,
+                           _true_cells, _witness_reach, check_coloring_memory)
 
 
 def _z5_partition(a=(1, 4), b=(2, 3), c=()):
@@ -341,6 +346,87 @@ def test_witness_reach_refuses_counts_float32_cannot_hold():
     b = np.broadcast_to(np.float32(1), (points, 1))
     with pytest.raises(ValueError, match="float32"):
         _witness_reach(a, b)
+
+
+def test_remainder_refuses_counts_uint16_cannot_hold():
+    points = 1 << 16
+    mask = np.broadcast_to(np.False_, (points, points))  # a zero-stride view: nothing allocated
+    with pytest.raises(ValueError, match="uint16"):
+        _remainder(mask, by_rows=True)
+
+
+def _pairwise_bruteforce(spec, coloring, early_exit, max_recorded):
+    """verify_bruteforce as one float32 product per atom pair: the slow oracle
+    of the products that verify_bruteforce derives from the others."""
+    names = [a.name for a in spec.diversity_atoms]
+    report = VerificationReport("bruteforce", early_exit, max_recorded)
+    masks = {n: coloring.atom_mask(n) for n in names}
+    empty = [n for n in names if not masks[n].any()]
+    report.record(EMPTY_ATOM, None, empty, len(empty))
+    for j, k, profile, include_zero in spec.pair_profiles():
+        if report.stopped:
+            break
+        reach = _witness_reach(masks[j].astype(np.float32), masks[k].astype(np.float32))
+        before = report.violation_count
+        for i in names:
+            if report.stopped:
+                break
+            if i in profile:
+                bad = masks[i] & ~reach
+                wheres = (f"({x},{y})" for x, y in zip(*np.nonzero(bad)))
+            else:
+                bad = masks[i] & reach
+                wheres = (f"({x},{np.flatnonzero(masks[j][x] & masks[k][:, y])[0]},{y})"
+                          for x, y in zip(*np.nonzero(bad)))
+            report.record(MISSING_WITNESS if i in profile else FORBIDDEN_REALIZED,
+                          (i, j, k), wheres, int(bad.sum()))
+        has_zero = bool(np.diagonal(reach).any())
+        if include_zero and not has_zero:
+            report.record(MISSING_WITNESS, (IDENTITY, j, k), ["(diagonal)"], 1)
+        actual = tuple(n for n in names if (masks[n] & reach).any())
+        report.pair_checks.append(PairCheck(j, k, profile, include_zero, actual, has_zero,
+                                            report.violation_count == before))
+    return report
+
+
+@st.composite
+def _colorings(draw):
+    """A spec of 1 to 5 atoms in shuffled order with random cycles, and a
+    coloring of 1 to 70 points: skewed random colors, or a circulant coloring
+    (a Cayley coloring of Z/n), whose counts are often exactly zero."""
+    count = draw(st.integers(1, 5))
+    names = "pqrst"[:count]
+    order = draw(st.permutations(names))
+    triples = list(combinations_with_replacement(order, 3))
+    cycles = draw(st.lists(st.sampled_from(triples), unique=True, max_size=len(triples)))
+    n = draw(st.integers(1, 70))
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=count, max_size=count)
+                            .filter(any)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        code_of = 1 + rng.choice(count, size=n, p=weights / weights.sum())
+        code_of = code_of[np.minimum(np.arange(n), -np.arange(n) % n)]  # x, -x alike
+        diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        colors = code_of[diff]
+    else:
+        colors = np.triu(1 + rng.choice(count, size=(n, n), p=weights / weights.sum()), 1)
+        colors += colors.T
+    np.fill_diagonal(colors, 0)
+    return RaSpec(order, cycles), EdgeColoring((IDENTITY,) + tuple(names), colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_colorings(), block=st.sampled_from(["row", "ragged", "whole"]),
+       early_exit=st.booleans(), max_recorded=st.sampled_from([0, 2, 100]))
+def test_bruteforce_matches_pairwise_products(case, block, early_exit, max_recorded):
+    spec, coloring = case
+    n = coloring.point_count
+    rows = {"row": 1, "ragged": n // 2 + 1, "whole": n}[block]  # ragged: a shorter last block
+    with mock.patch.object(relrep.verify, "_WITNESS_BLOCK_CELLS", rows * n):
+        report = verify_bruteforce(spec, coloring, early_exit=early_exit,
+                                   max_recorded=max_recorded)
+    oracle = _pairwise_bruteforce(spec, coloring, early_exit, max_recorded)
+    assert report.to_dict() == oracle.to_dict()
 
 
 @pytest.mark.parametrize("density", [0.0, 0.001, 0.3, 1.0])
