@@ -9,6 +9,7 @@ re-running with that seed reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -328,14 +329,15 @@ def _table_validate_fixture(args, payload: dict) -> list[str]:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` reads RELREP_FORMAT per call."""
     parser = argparse.ArgumentParser(
         prog="relrep",
         description="Build and verify finite representations of relation "
                     "algebras 52_65 and 59_65.")
     parser.add_argument("--format", choices=("table", "json"),
-                        default=os.environ.get("RELREP_FORMAT", "table"),
-                        help="output format (env RELREP_FORMAT overrides the default)")
+                        help="output format (default: env RELREP_FORMAT, else table)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("show-algebra", help="print an algebra's cycle structure")
@@ -400,8 +402,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
+        output = args.format or os.environ.get("RELREP_FORMAT", "table")
         lines = ([json.dumps(payload, indent=2, sort_keys=True)]
-                 if args.format == "json" else args.table(args, payload))
+                 if output == "json" else args.table(args, payload))
         for line in lines:
             print(line)
     except (ValueError, OSError) as exc:  # StructuralError, SchemeError, SpecError too

@@ -15,8 +15,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Not a memory limit: the int64 WHT sumset (_xor_convolution_counts) is exact up to here.
+# Not a memory limit: the int64 WHT sumsets of _pair_counts are exact up to here.
 DEFAULT_ORDER_CAP = 1 << 20
+
+# Cells of one chunk of inverted pair products in _pair_counts: 2^22 int64
+# cells (32 MiB).  At (Z/2)^16 with three sets one chunk holds all six pairs.
+_SUMSET_BLOCK_CELLS = 1 << 22
 
 
 def _trial_factorize(n: int) -> dict[int, int]:
@@ -294,62 +298,86 @@ def _same_group(left: ElementSet, right: ElementSet) -> GroupSpec:
     return left.group
 
 
-def _walsh_hadamard(vec: np.ndarray) -> np.ndarray:
-    out = vec.astype(np.int64, copy=True)
-    n = out.size
+def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """Transform each row of a C-contiguous int64 array in place (unnormalised WHT, last axis)."""
+    if rows.dtype != np.int64 or not rows.flags.c_contiguous:
+        raise ValueError("the Walsh-Hadamard transform works in place on C-contiguous int64")
+    half = np.empty(rows.size // 2, dtype=np.int64)
     h = 1
-    while h < n:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((top, bottom), axis=1).reshape(n)
+    while h < rows.shape[-1]:
+        pairs = rows.reshape(-1, 2, h)
+        top, bottom, diff = pairs[:, 0], pairs[:, 1], half.reshape(-1, h)
+        np.subtract(top, bottom, out=diff)
+        top += bottom
+        bottom[...] = diff
         h *= 2
-    return out
+    return rows
 
 
-def _xor_convolution_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact counts c[z] = #{(x, y): x ^ y = z, a[x], b[y]} via integer WHT.
+def _pair_counts(group: GroupSpec, masks: np.ndarray,
+                 pairs: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Exact counts c[p, z] = #{(x, y): x + y = z, masks[j, x], masks[k, y]} for (j, k) = pairs[p].
 
-    int64 is safe up to order 2^20: transforms are bounded by order, the
-    pointwise products by order^2 and the inverse transform by order^3 < 2^63.
+    Every row of ``masks`` is transformed once: an integer Walsh-Hadamard
+    transform on (Z/2Z)^k, an FFT over the cyclic factors otherwise.  Each pair
+    multiplies two spectra, and the products are inverted in chunks of at most
+    _SUMSET_BLOCK_CELLS cells; a chunk's counts are yielded as a (pairs, order)
+    array, and the next chunk is computed only when asked for.
+
+    int64 WHT counts are exact up to order 2^20: transforms are bounded by the
+    order, the products by order^2 and the inverse transform by order^3 < 2^63.
+    Up to that order the rounding error of the FFT counts is far below the 1/4
+    checked here.
     """
-    fa = _walsh_hadamard(a)
-    fb = _walsh_hadamard(b)
-    conv = _walsh_hadamard(fa * fb)
-    if (conv % conv.size).any():
-        raise AssertionError("xor convolution produced non-integer counts")
-    return conv // conv.size
+    left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    step = max(1, _SUMSET_BLOCK_CELLS // group.order)
+    axes = tuple(range(1, group.rank + 1))
+    if group.is_elementary_two:
+        spectra = _walsh_hadamard(masks.astype(np.int64))
+    else:
+        spectra = np.fft.rfftn(masks.reshape((-1,) + group.moduli), axes=axes)
+    for start in range(0, len(left), step):
+        chunk = slice(start, start + step)
+        product = spectra[left[chunk]] * spectra[right[chunk]]
+        if group.is_elementary_two:
+            conv = _walsh_hadamard(product)
+            if (conv % group.order).any():
+                raise AssertionError("xor convolution produced non-integer counts")
+            conv //= group.order
+            yield conv
+        else:
+            conv = np.fft.irfftn(product, s=group.moduli, axes=axes).reshape(len(product), -1)
+            counts = np.rint(conv)
+            if np.abs(conv - counts).max() > 0.25:
+                raise AssertionError("cyclic convolution lost integer exactness")
+            yield counts
 
 
-def _cyclic_convolution_counts(group: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact counts c[z] = #{(x, y): x + y = z, a[x], b[y]}, rounded from a float64 FFT.
+def pair_sumsets(sets: Sequence[ElementSet],
+                 pairs: Iterable[tuple[int, int]]) -> Iterator[ElementSet]:
+    """The exact sumsets sets[j] + sets[k] for each (j, k) of ``pairs``, in order.
 
-    Up to order 2^20 the rounding error of 0/1 operands is far below the 1/4 checked here.
+    Each set is transformed once, however many pairs it is in, and the pairs'
+    sumsets are computed a chunk at a time as the iterator reaches them (see
+    :func:`_pair_counts`).  Both group paths are exact and agree with
+    :func:`sumset_reference`.
     """
-    shape, axes = group.moduli, range(group.rank)
-    spectrum = np.fft.rfftn(a.reshape(shape), axes=axes) * np.fft.rfftn(b.reshape(shape), axes=axes)
-    conv = np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
-    counts = np.rint(conv)
-    if np.abs(conv - counts).max() > 0.25:
-        raise AssertionError("cyclic convolution lost integer exactness")
-    return counts
+    if not sets:
+        raise ValueError("pair_sumsets needs at least one set")
+    group = sets[0].group
+    for other in sets[1:]:
+        _same_group(sets[0], other)
+    pairs = [(int(j), int(k)) for j, k in pairs]
+    if any(not (0 <= j < len(sets) and 0 <= k < len(sets)) for j, k in pairs):
+        raise ValueError(f"pair indices must lie in [0, {len(sets)})")
+    masks = np.stack([s.mask for s in sets])
+    return (ElementSet._wrap(group, row)
+            for counts in _pair_counts(group, masks, pairs) for row in counts > 0)
 
 
 def sumset(left: ElementSet, right: ElementSet) -> ElementSet:
-    """The exact sumset {x + y : x in left, y in right}.
-
-    (Z/2Z)^k groups go through an integer Walsh-Hadamard convolution, other
-    groups through a rounded FFT convolution over their cyclic factors.  Both
-    paths are exact and agree with :func:`sumset_reference`.
-    """
-    group = _same_group(left, right)
-    if len(left) == 0 or len(right) == 0:
-        return ElementSet.empty(group)
-    if group.is_elementary_two:
-        counts = _xor_convolution_counts(left.mask.astype(np.int64), right.mask.astype(np.int64))
-    else:
-        counts = _cyclic_convolution_counts(group, left.mask, right.mask)
-    return ElementSet._wrap(group, counts > 0)
+    """The exact sumset {x + y : x in left, y in right}: one pair of :func:`pair_sumsets`."""
+    return next(pair_sumsets((left, right), [(0, 1)]))
 
 
 def sumset_reference(left: ElementSet, right: ElementSet) -> ElementSet:

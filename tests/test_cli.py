@@ -354,6 +354,18 @@ def test_format_env_default(capsys, monkeypatch):
     json.loads(out)
 
 
+def test_format_env_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process, here while RELREP_FORMAT says json;
+    # the variable must still be read on every call
+    _build_parser.cache_clear()
+    monkeypatch.setenv("RELREP_FORMAT", "json")
+    assert main(["show-algebra", "52_65"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["name"] == "52_65"
+    monkeypatch.delenv("RELREP_FORMAT")
+    assert main(["show-algebra", "52_65"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("algebra 52_65\natoms: ")
+
+
 def test_table_output_is_default(capsys):
     code, out, _ = run_cli(capsys, "show-algebra", "52_65")
     assert code == EXIT_OK

@@ -1,16 +1,18 @@
 """Group arithmetic, dense sets, sumsets, spans, cosets, weight classes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relrep.groups
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
-                    is_prime, is_primitive_root, primitive_root, span, sumset,
-                    sumset_reference, weight_class)
-from relrep.groups import _cyclic_convolution_counts, _walsh_hadamard
+                    is_prime, is_primitive_root, pair_sumsets, primitive_root, span,
+                    sumset, sumset_reference, weight_class)
+from relrep.groups import _pair_counts, _walsh_hadamard
 
 
 # -- GroupSpec basics ---------------------------------------------------------
@@ -182,7 +184,96 @@ def test_cyclic_convolution_counts_are_exact_on_long_intervals():
     left, right = np.arange(g.order) < a, np.arange(g.order) < b
     z = np.arange(g.order)
     expected = np.clip(np.minimum(np.minimum(z, a + b - 2 - z), min(a, b) - 1) + 1, 0, None)
-    assert np.array_equal(_cyclic_convolution_counts(g, left, right), expected)
+    assert np.array_equal(next(_pair_counts(g, np.stack([left, right]), [(0, 1)]))[0], expected)
+
+
+_PAIR_GROUPS = st.one_of(
+    st.integers(1, 8).map(lambda k: GroupSpec.power(2, k)),
+    st.integers(2, 60).map(GroupSpec.cyclic),
+    st.sampled_from([GroupSpec((3, 5)), GroupSpec((2, 4, 3))]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=_PAIR_GROUPS, per_chunk=st.sampled_from([1, 2, 3, None]), data=st.data())
+def test_pair_sumsets_agree_with_reference_on_every_pair(group, per_chunk, data):
+    # 1 to 5 sets, empty and full ones among them; chunks of 1, 2 or 3 pairs
+    # (often with a shorter last chunk), or the default of one chunk
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    densities = data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]),
+                                   min_size=1, max_size=5))
+    sets = [ElementSet(group, rng.random(group.order) < d) for d in densities]
+    index = st.integers(0, len(sets) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=10))
+    pairs += [(k, j) for j, k in pairs[:2]] + pairs[:1]  # reversed and repeated pairs
+    cells = (relrep.groups._SUMSET_BLOCK_CELLS if per_chunk is None
+             else per_chunk * group.order)
+    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", cells):
+        got = list(pair_sumsets(sets, pairs))
+    assert got == [sumset_reference(sets[j], sets[k]) for j, k in pairs]
+
+
+@pytest.mark.parametrize("moduli", [(2,) * 4, (15,), (3, 5)])
+def test_pair_counts_invert_in_chunks_with_a_shorter_last_one(moduli):
+    g = GroupSpec(moduli)
+    rng = np.random.default_rng(len(moduli))
+    masks = rng.random((3, g.order)) < 0.3
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 0)]
+    expected = [[sum(masks[j, x] and masks[k, y] for x in g.elements() for y in g.elements()
+                     if g.add(x, y) == z) for z in g.elements()] for j, k in pairs]
+    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", 3 * g.order):
+        chunks = list(_pair_counts(g, masks, pairs))
+    assert [len(c) for c in chunks] == [3, 3, 1]
+    assert np.concatenate(chunks).tolist() == expected
+
+
+def test_pair_sumsets_are_computed_a_chunk_at_a_time():
+    g = GroupSpec.power(2, 3)
+    sets = [ElementSet.from_indices(g, [1]), ElementSet.from_indices(g, [2, 3])]
+    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", g.order), \
+            mock.patch.object(relrep.groups, "_walsh_hadamard",
+                              side_effect=relrep.groups._walsh_hadamard) as transform:
+        sums = pair_sumsets(sets, [(0, 1), (1, 1)])
+        assert transform.call_count == 0
+        assert next(sums) == ElementSet.from_indices(g, [3, 2])
+        assert transform.call_count == 2  # both sets at once, then the first pair
+        assert next(sums) == ElementSet.from_indices(g, [0, 1])
+        assert transform.call_count == 3
+
+
+def test_pair_sumsets_validate_their_arguments():
+    g, h = GroupSpec.cyclic(5), GroupSpec.cyclic(7)
+    with pytest.raises(ValueError, match="at least one set"):
+        pair_sumsets([], [])
+    with pytest.raises(ValueError, match="different groups"):
+        pair_sumsets([ElementSet.full(g), ElementSet.full(h)], [(0, 1)])
+    with pytest.raises(ValueError, match="pair indices"):
+        pair_sumsets([ElementSet.full(g)], [(0, -1)])
+    assert list(pair_sumsets([ElementSet.full(g)], [])) == []
+
+
+def test_pair_counts_refuse_an_inexact_xor_convolution():
+    g = GroupSpec.power(2, 4)
+    masks = np.ones((2, g.order), dtype=bool)
+    exact = relrep.groups._walsh_hadamard
+    transforms = []  # the second transform, of the pair's product, is off by one
+
+    def inexact(rows):
+        transforms.append(rows)
+        return exact(rows) + (len(transforms) == 2)
+
+    with mock.patch.object(relrep.groups, "_walsh_hadamard", inexact):
+        with pytest.raises(AssertionError, match="non-integer"):
+            next(_pair_counts(g, masks, [(0, 1)]))
+
+
+def test_pair_counts_refuse_an_inexact_cyclic_convolution():
+    g = GroupSpec.cyclic(15)
+    masks = np.ones((2, g.order), dtype=bool)
+    exact = np.fft.irfftn
+    with mock.patch.object(np.fft, "irfftn", lambda *a, **kw: exact(*a, **kw) + 0.3):
+        with pytest.raises(AssertionError, match="exactness"):
+            next(_pair_counts(g, masks, [(0, 1)]))
 
 
 @pytest.mark.parametrize("moduli", [(3,) * 9, (4, 5, 6, 7, 8), (9973,)])
@@ -209,7 +300,18 @@ def test_walsh_hadamard_is_self_inverse_up_to_n():
     rng = np.random.default_rng(5)
     for k in (1, 3, 6):
         v = rng.integers(-4, 5, size=1 << k)
-        assert np.array_equal(_walsh_hadamard(_walsh_hadamard(v)), v * (1 << k))
+        assert np.array_equal(_walsh_hadamard(_walsh_hadamard(v.copy())), v * (1 << k))
+        # a batch transforms each row as the row alone does
+        batch = rng.integers(-4, 5, size=(5, 1 << k))
+        by_row = np.stack([_walsh_hadamard(row.copy()) for row in batch])
+        assert np.array_equal(_walsh_hadamard(batch), by_row)
+
+
+def test_walsh_hadamard_refuses_arrays_it_cannot_transform_in_place():
+    for rows in (np.ones(8, dtype=bool), np.ones(8, dtype=np.int32),
+                 np.ones((8, 2), dtype=np.int64).T):
+        with pytest.raises(ValueError, match="in place"):
+            _walsh_hadamard(rows)
 
 
 # -- span --------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from helpers import random_symmetric_partition
 from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
                     RaSpec, StructuralError, builtin_52_65, builtin_59_65,
                     build_59_65_partition, build_scheme, cayley_coloring,
-                    JohnsonUniverse, equivalence_classes, verify_bruteforce,
+                    JohnsonUniverse, equivalence_classes, sumset, verify_bruteforce,
                     verify_sumsets, weight_class)
+import relrep.groups
 import relrep.verify
 from relrep.algebra import IDENTITY
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
                            MemoryGuardError, PairCheck, VerificationReport, _remainder,
-                           _true_cells, _witness_reach, check_coloring_memory)
+                           _subtract_transposed, _true_cells, _witness_reach,
+                           check_coloring_memory)
 
 
 def _z5_partition(a=(1, 4), b=(2, 3), c=()):
@@ -132,6 +134,58 @@ def test_all_one_atom_partition_counts_empty_atoms(method, early_exit):
     assert [v.where for v in report.violations[:2]] == ["b", "c"]
     if early_exit:  # the empty atoms' one record stops the walk before any pair
         assert report.violation_count == 2 and report.truncated and not report.pair_checks
+
+
+def _pairwise_sumsets(spec, part, early_exit, max_recorded):
+    """verify_sumsets as one sumset call per atom pair, in spec order: the
+    oracle of its walk over a batch of pair sumsets."""
+    names = [a.name for a in spec.diversity_atoms]
+    g, sets = part.group, part.assignment
+    report = VerificationReport("sumsets", early_exit, max_recorded)
+    empty = [n for n in names if not sets[n]]
+    report.record(EMPTY_ATOM, None, empty, len(empty))
+    for j, k, profile, include_zero in spec.pair_profiles():
+        if report.stopped:
+            break
+        actual = sumset(sets[j], sets[k])
+        expected = ElementSet.from_indices(g, [0] if include_zero else [])
+        for i in profile:
+            expected = expected | sets[i]
+        report.pair_checks.append(PairCheck(
+            j, k, profile, include_zero, tuple(n for n in names if sets[n] & actual),
+            0 in actual, actual == expected))
+        if actual == expected:
+            continue
+        for i in profile:
+            missing = sets[i] - actual
+            report.record(MISSING_WITNESS, (i, j, k),
+                          (g.format_element(x) for x in missing), len(missing))
+        for i in names:
+            if i not in profile:
+                extra = sets[i] & actual
+                report.record(FORBIDDEN_REALIZED, (i, j, k),
+                              (g.format_element(x) for x in extra), len(extra))
+        if include_zero and 0 not in actual:
+            report.record(MISSING_WITNESS, (IDENTITY, j, k), [g.format_element(0)], 1)
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=st.one_of(st.integers(1, 8).map(lambda k: GroupSpec.power(2, k)),
+                       st.integers(2, 60).map(GroupSpec.cyclic),
+                       st.sampled_from([GroupSpec((3, 5)), GroupSpec((2, 4, 3))])),
+       spec=st.sampled_from([builtin_52_65(), builtin_59_65()]),
+       early_exit=st.booleans(), max_recorded=st.sampled_from([0, 3, 100]),
+       per_chunk=st.sampled_from([1, 4, None]), seed=st.integers(0, 2**32 - 1))
+def test_verify_sumsets_matches_a_per_pair_walk(group, spec, early_exit, max_recorded,
+                                                per_chunk, seed):
+    part = random_symmetric_partition(group, ("a", "b", "c"), np.random.default_rng(seed))
+    cells = (relrep.groups._SUMSET_BLOCK_CELLS if per_chunk is None
+             else per_chunk * group.order)  # 4 of the 6 pairs: a shorter last chunk
+    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", cells):
+        report = verify_sumsets(spec, part, early_exit=early_exit, max_recorded=max_recorded)
+    oracle = _pairwise_sumsets(spec, part, early_exit, max_recorded)
+    assert report.to_dict() == oracle.to_dict()
 
 
 def test_forbidden_realized_detected():
@@ -353,6 +407,17 @@ def test_remainder_refuses_counts_uint16_cannot_hold():
     mask = np.broadcast_to(np.False_, (points, points))  # a zero-stride view: nothing allocated
     with pytest.raises(ValueError, match="uint16"):
         _remainder(mask, by_rows=True)
+
+
+@pytest.mark.parametrize("size,tile", [(1, 256), (7, 3), (300, 256), (512, 256)])
+def test_subtract_transposed_matches_a_whole_transpose(size, tile, monkeypatch):
+    monkeypatch.setattr(relrep.verify, "_TRANSPOSE_TILE", tile)
+    rng = np.random.default_rng(size)
+    target = rng.integers(1000, 2000, (size, size), dtype=np.uint16)
+    source = rng.integers(0, 1000, (size, size), dtype=np.uint16)
+    expected = target - source.T
+    _subtract_transposed(target, source)
+    assert np.array_equal(target, expected)
 
 
 def _pairwise_bruteforce(spec, coloring, early_exit, max_recorded):
