@@ -18,8 +18,8 @@ from .gf2 import (BasisState, ExtensionRejected, FixtureValidation,
                   shipped_subgroup_bitstrings, validate_fixture)
 from .groups import (DEFAULT_ORDER_CAP, ElementSet, GroupSpec, Subgroup,
                      cyclotomic_cosets, hamming_weights, is_prime,
-                     is_primitive_root, pair_sumsets, primitive_root, span,
-                     sumset, sumset_reference, weight_class)
+                     is_primitive_root, primitive_root, span, sumset,
+                     sumset_reference, weight_class)
 from .johnson import (BoundResult, EquitablePartition, JohnsonUniverse, McReport,
                       acc_witness_family, classify, mc_trial,
                       minimal_sufficient_n, partition_coloring, partition_count,
@@ -42,7 +42,7 @@ __all__ = [
     "search", "shipped_subgroup_bitstrings", "validate_fixture",
     "DEFAULT_ORDER_CAP", "ElementSet", "GroupSpec", "Subgroup",
     "cyclotomic_cosets", "hamming_weights", "is_prime", "is_primitive_root",
-    "pair_sumsets", "primitive_root", "span", "sumset", "sumset_reference", "weight_class",
+    "primitive_root", "span", "sumset", "sumset_reference", "weight_class",
     "BoundResult", "EquitablePartition", "JohnsonUniverse", "McReport",
     "acc_witness_family", "classify", "mc_trial", "minimal_sufficient_n",
     "partition_coloring", "partition_count", "probability_bound",

@@ -198,7 +198,7 @@ class GroupSpec:
 class ElementSet:
     """An immutable dense subset of a finite abelian group."""
 
-    __slots__ = ("group", "mask", "_size")
+    __slots__ = ("group", "mask", "_size", "_transform")
 
     def __init__(self, group: GroupSpec, mask: np.ndarray):
         mask = np.asarray(mask, dtype=bool)
@@ -208,6 +208,7 @@ class ElementSet:
         self.mask = mask.copy()
         self.mask.setflags(write=False)
         self._size = int(self.mask.sum())
+        self._transform = None
 
     @classmethod
     def _wrap(cls, group: GroupSpec, mask: np.ndarray) -> "ElementSet":
@@ -217,6 +218,7 @@ class ElementSet:
         obj.group = group
         obj.mask = mask
         obj._size = int(mask.sum())
+        obj._transform = None
         return obj
 
     @classmethod
@@ -291,6 +293,23 @@ class ElementSet:
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.mask, self.mask[self.group._negation_perm]))
 
+    def _spectrum(self) -> np.ndarray:
+        """The mask's transform for sumsets.
+
+        On (Z/2Z)^k an integer Walsh-Hadamard transform, computed on first use
+        and kept (read-only, like the mask), so a set in many sumsets is
+        transformed once.  On other groups an FFT over the cyclic factors,
+        computed per call: their long-lived sets are comer's m cosets, and
+        keeping every coset's spectrum would add 8 bytes per group element each.
+        """
+        group = self.group
+        if not group.is_elementary_two:
+            return np.fft.rfftn(self.mask.reshape(group.moduli))
+        if self._transform is None:
+            self._transform = _walsh_hadamard(self.mask.astype(np.int64))
+            self._transform.setflags(write=False)
+        return self._transform
+
 
 def _same_group(left: ElementSet, right: ElementSet) -> GroupSpec:
     if left.group != right.group:
@@ -314,31 +333,30 @@ def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _pair_counts(group: GroupSpec, masks: np.ndarray,
+def _pair_counts(group: GroupSpec, sets: Sequence[ElementSet],
                  pairs: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Exact counts c[p, z] = #{(x, y): x + y = z, masks[j, x], masks[k, y]} for (j, k) = pairs[p].
+    """Exact counts c[p, z] = #{(x, y): x + y = z, x in S_j, y in S_k} for (j, k) = pairs[p].
 
-    Every row of ``masks`` is transformed once: an integer Walsh-Hadamard
-    transform on (Z/2Z)^k, an FFT over the cyclic factors otherwise.  Each pair
-    multiplies two spectra, and the products are inverted in chunks of at most
-    _SUMSET_BLOCK_CELLS cells; a chunk's counts are yielded as a (pairs, order)
-    array, and the next chunk is computed only when asked for.
+    Each pair multiplies the two sets' transforms (:meth:`ElementSet._spectrum`),
+    and the products are inverted in chunks of at most _SUMSET_BLOCK_CELLS
+    cells; a chunk's counts are yielded as a (pairs, order) array, and the
+    next chunk is computed only when asked for.
 
     int64 WHT counts are exact up to order 2^20: transforms are bounded by the
     order, the products by order^2 and the inverse transform by order^3 < 2^63.
     Up to that order the rounding error of the FFT counts is far below the 1/4
     checked here.
     """
-    left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     step = max(1, _SUMSET_BLOCK_CELLS // group.order)
     axes = tuple(range(1, group.rank + 1))
-    if group.is_elementary_two:
-        spectra = _walsh_hadamard(masks.astype(np.int64))
-    else:
-        spectra = np.fft.rfftn(masks.reshape((-1,) + group.moduli), axes=axes)
-    for start in range(0, len(left), step):
-        chunk = slice(start, start + step)
-        product = spectra[left[chunk]] * spectra[right[chunk]]
+    spectra = [s._spectrum() for s in sets]
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        product = np.empty((len(chunk),) + spectra[0].shape, dtype=spectra[0].dtype)
+        for row, (j, k) in zip(product, chunk):
+            np.multiply(spectra[j], spectra[k], out=row)
+        if start + step >= len(pairs):
+            spectra = None  # spectra no set keeps are freed before the last inverse
         if group.is_elementary_two:
             conv = _walsh_hadamard(product)
             if (conv % group.order).any():
@@ -346,7 +364,7 @@ def _pair_counts(group: GroupSpec, masks: np.ndarray,
             conv //= group.order
             yield conv
         else:
-            conv = np.fft.irfftn(product, s=group.moduli, axes=axes).reshape(len(product), -1)
+            conv = np.fft.irfftn(product, s=group.moduli, axes=axes).reshape(len(chunk), -1)
             counts = np.rint(conv)
             if np.abs(conv - counts).max() > 0.25:
                 raise AssertionError("cyclic convolution lost integer exactness")
@@ -357,7 +375,8 @@ def pair_sumsets(sets: Sequence[ElementSet],
                  pairs: Iterable[tuple[int, int]]) -> Iterator[ElementSet]:
     """The exact sumsets sets[j] + sets[k] for each (j, k) of ``pairs``, in order.
 
-    Each set is transformed once, however many pairs it is in, and the pairs'
+    Each set is transformed once per call, however many pairs it is in; on
+    (Z/2Z)^k once in its lifetime, since it keeps its spectrum.  The pairs'
     sumsets are computed a chunk at a time as the iterator reaches them (see
     :func:`_pair_counts`).  Both group paths are exact and agree with
     :func:`sumset_reference`.
@@ -370,9 +389,8 @@ def pair_sumsets(sets: Sequence[ElementSet],
     pairs = [(int(j), int(k)) for j, k in pairs]
     if any(not (0 <= j < len(sets) and 0 <= k < len(sets)) for j, k in pairs):
         raise ValueError(f"pair indices must lie in [0, {len(sets)})")
-    masks = np.stack([s.mask for s in sets])
     return (ElementSet._wrap(group, row)
-            for counts in _pair_counts(group, masks, pairs) for row in counts > 0)
+            for counts in _pair_counts(group, sets, pairs) for row in counts > 0)
 
 
 def sumset(left: ElementSet, right: ElementSet) -> ElementSet:

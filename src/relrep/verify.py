@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import IDENTITY, RaSpec
-from .groups import ElementSet, GroupSpec, pair_sumsets
+from .groups import ElementSet, GroupSpec, sumset
 
 MISSING_WITNESS = "missing_witness"
 FORBIDDEN_REALIZED = "forbidden_realized"
@@ -360,16 +360,11 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
     empty = [name for name in names if len(sets[name]) == 0]
     report.record(EMPTY_ATOM, None, empty, len(empty))
 
-    profiles = list(spec.pair_profiles())
-    index = {name: i for i, name in enumerate(names)}
-    # each atom is transformed once; a chunk of pair sumsets is computed when
-    # the walk reaches it, so an early exit leaves later chunks undone
-    sums = pair_sumsets([sets[name] for name in names],
-                        [(index[j], index[k]) for j, k, _, _ in profiles])
-    for j, k, profile_names, include_zero in profiles:
+    for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        actual = next(sums)
+        # each atom's transform is computed by its first sumset and kept
+        actual = sumset(sets[j], sets[k])
         has_zero = 0 in actual
         if sets[j] and sets[k] and has_zero != include_zero:
             # structurally guaranteed; a failure here is a sumset bug

@@ -5,11 +5,19 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from relrep import ColoredPartition, ElementSet, GroupSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+# groups for sumset property tests: both kernel paths, one and several cyclic factors
+PAIR_GROUPS = st.one_of(
+    st.integers(1, 8).map(lambda k: GroupSpec.power(2, k)),
+    st.integers(2, 60).map(GroupSpec.cyclic),
+    st.sampled_from([GroupSpec((3, 5)), GroupSpec((2, 4, 3))]),
+)
 
 
 def random_symmetric_partition(group: GroupSpec, names, rng: np.random.Generator,

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import relrep.groups
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
-                    is_prime, is_primitive_root, pair_sumsets, primitive_root, span,
-                    sumset, sumset_reference, weight_class)
-from relrep.groups import _pair_counts, _walsh_hadamard
+                    is_prime, is_primitive_root, primitive_root, span, sumset,
+                    sumset_reference, weight_class)
+from relrep.groups import _pair_counts, _walsh_hadamard, pair_sumsets
+
+from helpers import PAIR_GROUPS
 
 
 # -- GroupSpec basics ---------------------------------------------------------
@@ -184,18 +186,12 @@ def test_cyclic_convolution_counts_are_exact_on_long_intervals():
     left, right = np.arange(g.order) < a, np.arange(g.order) < b
     z = np.arange(g.order)
     expected = np.clip(np.minimum(np.minimum(z, a + b - 2 - z), min(a, b) - 1) + 1, 0, None)
-    assert np.array_equal(next(_pair_counts(g, np.stack([left, right]), [(0, 1)]))[0], expected)
-
-
-_PAIR_GROUPS = st.one_of(
-    st.integers(1, 8).map(lambda k: GroupSpec.power(2, k)),
-    st.integers(2, 60).map(GroupSpec.cyclic),
-    st.sampled_from([GroupSpec((3, 5)), GroupSpec((2, 4, 3))]),
-)
+    sets = [ElementSet(g, left), ElementSet(g, right)]
+    assert np.array_equal(next(_pair_counts(g, sets, [(0, 1)]))[0], expected)
 
 
 @settings(max_examples=200, deadline=None)
-@given(group=_PAIR_GROUPS, per_chunk=st.sampled_from([1, 2, 3, None]), data=st.data())
+@given(group=PAIR_GROUPS, per_chunk=st.sampled_from([1, 2, 3, None]), data=st.data())
 def test_pair_sumsets_agree_with_reference_on_every_pair(group, per_chunk, data):
     # 1 to 5 sets, empty and full ones among them; chunks of 1, 2 or 3 pairs
     # (often with a shorter last chunk), or the default of one chunk
@@ -221,8 +217,9 @@ def test_pair_counts_invert_in_chunks_with_a_shorter_last_one(moduli):
     pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 0)]
     expected = [[sum(masks[j, x] and masks[k, y] for x in g.elements() for y in g.elements()
                      if g.add(x, y) == z) for z in g.elements()] for j, k in pairs]
+    sets = [ElementSet(g, mask) for mask in masks]
     with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", 3 * g.order):
-        chunks = list(_pair_counts(g, masks, pairs))
+        chunks = list(_pair_counts(g, sets, pairs))
     assert [len(c) for c in chunks] == [3, 3, 1]
     assert np.concatenate(chunks).tolist() == expected
 
@@ -236,9 +233,23 @@ def test_pair_sumsets_are_computed_a_chunk_at_a_time():
         sums = pair_sumsets(sets, [(0, 1), (1, 1)])
         assert transform.call_count == 0
         assert next(sums) == ElementSet.from_indices(g, [3, 2])
-        assert transform.call_count == 2  # both sets at once, then the first pair
+        assert transform.call_count == 3  # each set once, then the first pair
         assert next(sums) == ElementSet.from_indices(g, [0, 1])
-        assert transform.call_count == 3
+        assert transform.call_count == 4
+        # the sets keep their transforms: a later call inverts its pair alone
+        assert sumset(sets[1], sets[0]) == ElementSet.from_indices(g, [3, 2])
+        assert transform.call_count == 5
+
+
+def test_a_set_keeps_its_read_only_walsh_hadamard_spectrum():
+    s = ElementSet.from_indices(GroupSpec.power(2, 3), [1, 2])
+    spectrum = s._spectrum()
+    assert s._spectrum() is spectrum and not spectrum.flags.writeable
+    # derived sets start without one
+    assert (s | s)._transform is None and s.complement()._transform is None
+    # an FFT spectrum is computed per call and not kept
+    c = ElementSet.from_indices(GroupSpec((2, 3)), [1, 2])
+    assert np.array_equal(c._spectrum(), c._spectrum()) and c._transform is None
 
 
 def test_pair_sumsets_validate_their_arguments():
@@ -254,26 +265,21 @@ def test_pair_sumsets_validate_their_arguments():
 
 def test_pair_counts_refuse_an_inexact_xor_convolution():
     g = GroupSpec.power(2, 4)
-    masks = np.ones((2, g.order), dtype=bool)
+    full = ElementSet.full(g)
+    full._spectrum()  # kept, so only the product's inverse comes out off by one
     exact = relrep.groups._walsh_hadamard
-    transforms = []  # the second transform, of the pair's product, is off by one
-
-    def inexact(rows):
-        transforms.append(rows)
-        return exact(rows) + (len(transforms) == 2)
-
-    with mock.patch.object(relrep.groups, "_walsh_hadamard", inexact):
+    with mock.patch.object(relrep.groups, "_walsh_hadamard", lambda rows: exact(rows) + 1):
         with pytest.raises(AssertionError, match="non-integer"):
-            next(_pair_counts(g, masks, [(0, 1)]))
+            next(_pair_counts(g, [full, full], [(0, 1)]))
 
 
 def test_pair_counts_refuse_an_inexact_cyclic_convolution():
     g = GroupSpec.cyclic(15)
-    masks = np.ones((2, g.order), dtype=bool)
+    full = ElementSet.full(g)
     exact = np.fft.irfftn
     with mock.patch.object(np.fft, "irfftn", lambda *a, **kw: exact(*a, **kw) + 0.3):
         with pytest.raises(AssertionError, match="exactness"):
-            next(_pair_counts(g, masks, [(0, 1)]))
+            next(_pair_counts(g, [full, full], [(0, 1)]))
 
 
 @pytest.mark.parametrize("moduli", [(3,) * 9, (4, 5, 6, 7, 8), (9973,)])

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_symmetric_partition
+from helpers import PAIR_GROUPS, random_symmetric_partition
 from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
                     RaSpec, StructuralError, builtin_52_65, builtin_59_65,
                     build_59_65_partition, build_scheme, cayley_coloring,
-                    JohnsonUniverse, equivalence_classes, sumset, verify_bruteforce,
-                    verify_sumsets, weight_class)
+                    JohnsonUniverse, equivalence_classes, sumset_reference,
+                    verify_bruteforce, verify_sumsets, weight_class)
 import relrep.groups
 import relrep.verify
 from relrep.algebra import IDENTITY
@@ -137,8 +137,7 @@ def test_all_one_atom_partition_counts_empty_atoms(method, early_exit):
 
 
 def _pairwise_sumsets(spec, part, early_exit, max_recorded):
-    """verify_sumsets as one sumset call per atom pair, in spec order: the
-    oracle of its walk over a batch of pair sumsets."""
+    """verify_sumsets as one definitional sumset per atom pair, in spec order."""
     names = [a.name for a in spec.diversity_atoms]
     g, sets = part.group, part.assignment
     report = VerificationReport("sumsets", early_exit, max_recorded)
@@ -147,7 +146,7 @@ def _pairwise_sumsets(spec, part, early_exit, max_recorded):
     for j, k, profile, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        actual = sumset(sets[j], sets[k])
+        actual = sumset_reference(sets[j], sets[k])
         expected = ElementSet.from_indices(g, [0] if include_zero else [])
         for i in profile:
             expected = expected | sets[i]
@@ -171,21 +170,25 @@ def _pairwise_sumsets(spec, part, early_exit, max_recorded):
 
 
 @settings(max_examples=150, deadline=None)
-@given(group=st.one_of(st.integers(1, 8).map(lambda k: GroupSpec.power(2, k)),
-                       st.integers(2, 60).map(GroupSpec.cyclic),
-                       st.sampled_from([GroupSpec((3, 5)), GroupSpec((2, 4, 3))])),
-       spec=st.sampled_from([builtin_52_65(), builtin_59_65()]),
+@given(group=PAIR_GROUPS, spec=st.sampled_from([builtin_52_65(), builtin_59_65()]),
        early_exit=st.booleans(), max_recorded=st.sampled_from([0, 3, 100]),
-       per_chunk=st.sampled_from([1, 4, None]), seed=st.integers(0, 2**32 - 1))
-def test_verify_sumsets_matches_a_per_pair_walk(group, spec, early_exit, max_recorded,
-                                                per_chunk, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_verify_sumsets_matches_a_per_pair_walk(group, spec, early_exit, max_recorded, seed):
     part = random_symmetric_partition(group, ("a", "b", "c"), np.random.default_rng(seed))
-    cells = (relrep.groups._SUMSET_BLOCK_CELLS if per_chunk is None
-             else per_chunk * group.order)  # 4 of the 6 pairs: a shorter last chunk
-    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", cells):
-        report = verify_sumsets(spec, part, early_exit=early_exit, max_recorded=max_recorded)
+    report = verify_sumsets(spec, part, early_exit=early_exit, max_recorded=max_recorded)
     oracle = _pairwise_sumsets(spec, part, early_exit, max_recorded)
     assert report.to_dict() == oracle.to_dict()
+
+
+def test_verify_sumsets_transforms_each_atom_once():
+    g = GroupSpec.power(2, 6)
+    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(3),
+                                      allow_empty=False)
+    with mock.patch.object(relrep.groups, "_walsh_hadamard",
+                           side_effect=relrep.groups._walsh_hadamard) as transform:
+        report = verify_sumsets(builtin_52_65(), part)
+    assert len(report.pair_checks) == 6
+    assert transform.call_count == 3 + 6  # one per atom, one inverse per pair
 
 
 def test_forbidden_realized_detected():
