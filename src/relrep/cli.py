@@ -171,9 +171,9 @@ def _cmd_verify_group_rep(args) -> tuple[dict, int]:
 
 
 def _cmd_comer(args) -> tuple[dict, int]:
-    if args.p is None and not args.sweep_max_p:
+    if args.p is None and args.sweep_max_p is None:
         raise StructuralError("either --p or --sweep-max-p is required")
-    if args.sweep_max_p:
+    if args.sweep_max_p is not None:
         ignored = [flag for flag, value in (("--p", args.p), ("--g", args.g)) if value is not None]
         if ignored:
             raise StructuralError(f"--sweep-max-p would ignore {' and '.join(ignored)}: it "

@@ -281,6 +281,8 @@ class SearchConfig:
             raise ValueError("backtrack depth must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.time_budget is not None and self.time_budget < 0:
+            raise ValueError("time budget must be >= 0 seconds")
         return self
 
 

@@ -15,12 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Not a memory limit: the int64 WHT sumsets of _pair_counts are exact up to here.
+# Not a memory limit: the int64 WHT counts of _sum_counts are exact up to here.
 DEFAULT_ORDER_CAP = 1 << 20
-
-# Cells of one chunk of inverted pair products in _pair_counts: 2^22 int64
-# cells (32 MiB).  At (Z/2)^16 with three sets one chunk holds all six pairs.
-_SUMSET_BLOCK_CELLS = 1 << 22
 
 
 def _trial_factorize(n: int) -> dict[int, int]:
@@ -294,20 +290,20 @@ class ElementSet:
         return bool(np.array_equal(self.mask, self.mask[self.group._negation_perm]))
 
     def _spectrum(self) -> np.ndarray:
-        """The mask's transform for sumsets.
+        """The mask's transform for sumsets, computed on first use and kept read-only.
 
-        On (Z/2Z)^k an integer Walsh-Hadamard transform, computed on first use
-        and kept (read-only, like the mask), so a set in many sumsets is
-        transformed once.  On other groups an FFT over the cyclic factors,
-        computed per call: their long-lived sets are comer's m cosets, and
-        keeping every coset's spectrum would add 8 bytes per group element each.
+        An integer Walsh-Hadamard transform on (Z/2Z)^k, an FFT over the cyclic
+        factors on other groups; either way a set in many sumsets is
+        transformed once.  A kept FFT spectrum takes about 8 bytes per element.
         """
-        group = self.group
-        if not group.is_elementary_two:
-            return np.fft.rfftn(self.mask.reshape(group.moduli))
         if self._transform is None:
-            self._transform = _walsh_hadamard(self.mask.astype(np.int64))
-            self._transform.setflags(write=False)
+            group = self.group
+            if group.is_elementary_two:
+                spectrum = _walsh_hadamard(self.mask.astype(np.int64))
+            else:
+                spectrum = np.fft.rfftn(self.mask.reshape(group.moduli))
+            spectrum.setflags(write=False)
+            self._transform = spectrum
         return self._transform
 
 
@@ -333,69 +329,33 @@ def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _pair_counts(group: GroupSpec, sets: Sequence[ElementSet],
-                 pairs: Sequence[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """Exact counts c[p, z] = #{(x, y): x + y = z, x in S_j, y in S_k} for (j, k) = pairs[p].
+def _sum_counts(left: ElementSet, right: ElementSet) -> np.ndarray:
+    """Exact counts c[z] = #{(x, y): x + y = z, x in left, y in right}.
 
-    Each pair multiplies the two sets' transforms (:meth:`ElementSet._spectrum`),
-    and the products are inverted in chunks of at most _SUMSET_BLOCK_CELLS
-    cells; a chunk's counts are yielded as a (pairs, order) array, and the
-    next chunk is computed only when asked for.
-
-    int64 WHT counts are exact up to order 2^20: transforms are bounded by the
-    order, the products by order^2 and the inverse transform by order^3 < 2^63.
-    Up to that order the rounding error of the FFT counts is far below the 1/4
-    checked here.
+    Multiplies the two sets' spectra (:meth:`ElementSet._spectrum`) and inverts
+    the product.  int64 WHT counts are exact up to order 2^20: transforms are
+    bounded by the order, the product by order^2 and the inverse transform by
+    order^3 < 2^63.  Up to that order the rounding error of the FFT counts is
+    far below the 1/4 checked here.
     """
-    step = max(1, _SUMSET_BLOCK_CELLS // group.order)
-    axes = tuple(range(1, group.rank + 1))
-    spectra = [s._spectrum() for s in sets]
-    for start in range(0, len(pairs), step):
-        chunk = pairs[start:start + step]
-        product = np.empty((len(chunk),) + spectra[0].shape, dtype=spectra[0].dtype)
-        for row, (j, k) in zip(product, chunk):
-            np.multiply(spectra[j], spectra[k], out=row)
-        if start + step >= len(pairs):
-            spectra = None  # spectra no set keeps are freed before the last inverse
-        if group.is_elementary_two:
-            conv = _walsh_hadamard(product)
-            if (conv % group.order).any():
-                raise AssertionError("xor convolution produced non-integer counts")
-            conv //= group.order
-            yield conv
-        else:
-            conv = np.fft.irfftn(product, s=group.moduli, axes=axes).reshape(len(chunk), -1)
-            counts = np.rint(conv)
-            if np.abs(conv - counts).max() > 0.25:
-                raise AssertionError("cyclic convolution lost integer exactness")
-            yield counts
-
-
-def pair_sumsets(sets: Sequence[ElementSet],
-                 pairs: Iterable[tuple[int, int]]) -> Iterator[ElementSet]:
-    """The exact sumsets sets[j] + sets[k] for each (j, k) of ``pairs``, in order.
-
-    Each set is transformed once per call, however many pairs it is in; on
-    (Z/2Z)^k once in its lifetime, since it keeps its spectrum.  The pairs'
-    sumsets are computed a chunk at a time as the iterator reaches them (see
-    :func:`_pair_counts`).  Both group paths are exact and agree with
-    :func:`sumset_reference`.
-    """
-    if not sets:
-        raise ValueError("pair_sumsets needs at least one set")
-    group = sets[0].group
-    for other in sets[1:]:
-        _same_group(sets[0], other)
-    pairs = [(int(j), int(k)) for j, k in pairs]
-    if any(not (0 <= j < len(sets) and 0 <= k < len(sets)) for j, k in pairs):
-        raise ValueError(f"pair indices must lie in [0, {len(sets)})")
-    return (ElementSet._wrap(group, row)
-            for counts in _pair_counts(group, sets, pairs) for row in counts > 0)
+    group = _same_group(left, right)
+    product = left._spectrum() * right._spectrum()
+    if group.is_elementary_two:
+        counts = _walsh_hadamard(product)
+        if (counts % group.order).any():
+            raise AssertionError("xor convolution produced non-integer counts")
+        counts //= group.order
+        return counts
+    conv = np.fft.irfftn(product, s=group.moduli, axes=range(group.rank)).ravel()
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() > 0.25:
+        raise AssertionError("cyclic convolution lost integer exactness")
+    return counts
 
 
 def sumset(left: ElementSet, right: ElementSet) -> ElementSet:
-    """The exact sumset {x + y : x in left, y in right}: one pair of :func:`pair_sumsets`."""
-    return next(pair_sumsets((left, right), [(0, 1)]))
+    """The exact sumset {x + y : x in left, y in right}; agrees with :func:`sumset_reference`."""
+    return ElementSet._wrap(left.group, _sum_counts(left, right) > 0)
 
 
 def sumset_reference(left: ElementSet, right: ElementSet) -> ElementSet:

@@ -181,7 +181,7 @@ def minimal_sufficient_n(limit: int = 200) -> int:
     for n in range(3, limit + 1):
         if probability_bound(n).below_one:
             return n
-    raise AssertionError(f"no sufficient n up to {limit}")
+    raise ValueError(f"no n <= {limit} has a bound below one")
 
 
 def partition_count(universe_size: int) -> int:

@@ -150,6 +150,17 @@ def test_comer_sweep_refuses_p_and_g(capsys, extra, named):
     assert f"would ignore {named}:" in err
 
 
+def test_comer_sweep_max_p_zero_is_an_empty_sweep(capsys):
+    code, payload, _ = run_json(capsys, "comer", "--m", "2", "--sweep-max-p", "0")
+    assert code == EXIT_OK and payload == {"sweep": []}
+
+
+def test_comer_sweep_max_p_zero_still_refuses_p(capsys):
+    code, out, err = run_cli(capsys, "comer", "--p", "113", "--m", "8", "--sweep-max-p", "0")
+    assert code == EXIT_ERROR and not out
+    assert "would ignore --p:" in err
+
+
 def test_comer_requires_p_or_sweep(capsys):
     code, _, err = run_cli(capsys, "comer", "--m", "8")
     assert code == EXIT_ERROR
@@ -196,6 +207,7 @@ def test_verify_group_rep_rejects_wrong_spec(capsys):
 
 
 _VERIFY_INPUTS = {"z113": FIXTURES / "comer113_partition.txt",
+                  "z53": FIXTURES / "z53_59_65_partition.txt",
                   "gf2_6": PINNED / "gf2_6_partition.txt"}
 
 
@@ -335,6 +347,12 @@ def test_search_gf2_unreachable_target_exits_reject(capsys):
                                 "--restarts", "2", "--target-order", "128")
     assert code == EXIT_REJECT
     assert payload["reached_target"] is False
+
+
+def test_search_gf2_negative_time_budget_exits_2(capsys):
+    code, out, err = run_cli(capsys, "search-gf2", "--k", "7", "--time-budget", "-1")
+    assert code == EXIT_ERROR and not out
+    assert "time budget" in err
 
 
 def test_usage_errors_exit_2(capsys):

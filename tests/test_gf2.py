@@ -245,6 +245,8 @@ def test_search_config_validation():
         SearchConfig(k=10, t=10).validated()
     with pytest.raises(ValueError, match="seed"):
         SearchConfig(k=10, seed=-1).validated()
+    with pytest.raises(ValueError, match="time budget"):
+        SearchConfig(k=10, time_budget=-1.0).validated()
 
 
 def test_search_rejects_bad_initial_elements():

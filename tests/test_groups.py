@@ -12,7 +12,7 @@ import relrep.groups
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
                     is_prime, is_primitive_root, primitive_root, span, sumset,
                     sumset_reference, weight_class)
-from relrep.groups import _pair_counts, _walsh_hadamard, pair_sumsets
+from relrep.groups import _sum_counts, _walsh_hadamard
 
 from helpers import PAIR_GROUPS
 
@@ -187,56 +187,34 @@ def test_cyclic_convolution_counts_are_exact_on_long_intervals():
     z = np.arange(g.order)
     expected = np.clip(np.minimum(np.minimum(z, a + b - 2 - z), min(a, b) - 1) + 1, 0, None)
     sets = [ElementSet(g, left), ElementSet(g, right)]
-    assert np.array_equal(next(_pair_counts(g, sets, [(0, 1)]))[0], expected)
+    assert np.array_equal(_sum_counts(*sets), expected)
 
 
 @settings(max_examples=200, deadline=None)
-@given(group=PAIR_GROUPS, per_chunk=st.sampled_from([1, 2, 3, None]), data=st.data())
-def test_pair_sumsets_agree_with_reference_on_every_pair(group, per_chunk, data):
-    # 1 to 5 sets, empty and full ones among them; chunks of 1, 2 or 3 pairs
-    # (often with a shorter last chunk), or the default of one chunk
+@given(group=PAIR_GROUPS, data=st.data())
+def test_sumsets_agree_with_reference_on_every_pair(group, data):
+    # 1 to 5 sets, empty and full ones among them; every pair both ways round,
+    # the (j, j) self-pairs too, with each set's spectrum kept across pairs
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     densities = data.draw(st.lists(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]),
                                    min_size=1, max_size=5))
     sets = [ElementSet(group, rng.random(group.order) < d) for d in densities]
-    index = st.integers(0, len(sets) - 1)
-    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=10))
-    pairs += [(k, j) for j, k in pairs[:2]] + pairs[:1]  # reversed and repeated pairs
-    cells = (relrep.groups._SUMSET_BLOCK_CELLS if per_chunk is None
-             else per_chunk * group.order)
-    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", cells):
-        got = list(pair_sumsets(sets, pairs))
-    assert got == [sumset_reference(sets[j], sets[k]) for j, k in pairs]
+    for j, left in enumerate(sets):
+        for right in sets[j:]:
+            expected = sumset_reference(left, right)
+            assert sumset(left, right) == expected and sumset(right, left) == expected
 
 
-@pytest.mark.parametrize("moduli", [(2,) * 4, (15,), (3, 5)])
-def test_pair_counts_invert_in_chunks_with_a_shorter_last_one(moduli):
-    g = GroupSpec(moduli)
-    rng = np.random.default_rng(len(moduli))
-    masks = rng.random((3, g.order)) < 0.3
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (2, 0)]
-    expected = [[sum(masks[j, x] and masks[k, y] for x in g.elements() for y in g.elements()
-                     if g.add(x, y) == z) for z in g.elements()] for j, k in pairs]
-    sets = [ElementSet(g, mask) for mask in masks]
-    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", 3 * g.order):
-        chunks = list(_pair_counts(g, sets, pairs))
-    assert [len(c) for c in chunks] == [3, 3, 1]
-    assert np.concatenate(chunks).tolist() == expected
-
-
-def test_pair_sumsets_are_computed_a_chunk_at_a_time():
+def test_sumset_transforms_each_set_once():
     g = GroupSpec.power(2, 3)
     sets = [ElementSet.from_indices(g, [1]), ElementSet.from_indices(g, [2, 3])]
-    with mock.patch.object(relrep.groups, "_SUMSET_BLOCK_CELLS", g.order), \
-            mock.patch.object(relrep.groups, "_walsh_hadamard",
-                              side_effect=relrep.groups._walsh_hadamard) as transform:
-        sums = pair_sumsets(sets, [(0, 1), (1, 1)])
-        assert transform.call_count == 0
-        assert next(sums) == ElementSet.from_indices(g, [3, 2])
-        assert transform.call_count == 3  # each set once, then the first pair
-        assert next(sums) == ElementSet.from_indices(g, [0, 1])
+    with mock.patch.object(relrep.groups, "_walsh_hadamard",
+                           side_effect=relrep.groups._walsh_hadamard) as transform:
+        assert sumset(sets[0], sets[1]) == ElementSet.from_indices(g, [3, 2])
+        assert transform.call_count == 3  # each set once, then the product
+        # the sets keep their transforms: a later call inverts its product alone
+        assert sumset(sets[1], sets[1]) == ElementSet.from_indices(g, [0, 1])
         assert transform.call_count == 4
-        # the sets keep their transforms: a later call inverts its pair alone
         assert sumset(sets[1], sets[0]) == ElementSet.from_indices(g, [3, 2])
         assert transform.call_count == 5
 
@@ -247,39 +225,38 @@ def test_a_set_keeps_its_read_only_walsh_hadamard_spectrum():
     assert s._spectrum() is spectrum and not spectrum.flags.writeable
     # derived sets start without one
     assert (s | s)._transform is None and s.complement()._transform is None
-    # an FFT spectrum is computed per call and not kept
+
+
+def test_a_set_keeps_its_read_only_fft_spectrum():
     c = ElementSet.from_indices(GroupSpec((2, 3)), [1, 2])
-    assert np.array_equal(c._spectrum(), c._spectrum()) and c._transform is None
+    spectrum = c._spectrum()
+    assert c._spectrum() is spectrum and not spectrum.flags.writeable
+    assert np.allclose(spectrum, np.fft.rfftn(c.mask.reshape(2, 3)))
+    assert (c | c)._transform is None and c.negated()._transform is None
 
 
-def test_pair_sumsets_validate_their_arguments():
-    g, h = GroupSpec.cyclic(5), GroupSpec.cyclic(7)
-    with pytest.raises(ValueError, match="at least one set"):
-        pair_sumsets([], [])
+def test_sumset_refuses_sets_of_different_groups():
     with pytest.raises(ValueError, match="different groups"):
-        pair_sumsets([ElementSet.full(g), ElementSet.full(h)], [(0, 1)])
-    with pytest.raises(ValueError, match="pair indices"):
-        pair_sumsets([ElementSet.full(g)], [(0, -1)])
-    assert list(pair_sumsets([ElementSet.full(g)], [])) == []
+        sumset(ElementSet.full(GroupSpec.cyclic(5)), ElementSet.full(GroupSpec.cyclic(7)))
 
 
-def test_pair_counts_refuse_an_inexact_xor_convolution():
+def test_sum_counts_refuse_an_inexact_xor_convolution():
     g = GroupSpec.power(2, 4)
     full = ElementSet.full(g)
     full._spectrum()  # kept, so only the product's inverse comes out off by one
     exact = relrep.groups._walsh_hadamard
     with mock.patch.object(relrep.groups, "_walsh_hadamard", lambda rows: exact(rows) + 1):
         with pytest.raises(AssertionError, match="non-integer"):
-            next(_pair_counts(g, [full, full], [(0, 1)]))
+            _sum_counts(full, full)
 
 
-def test_pair_counts_refuse_an_inexact_cyclic_convolution():
+def test_sum_counts_refuse_an_inexact_cyclic_convolution():
     g = GroupSpec.cyclic(15)
     full = ElementSet.full(g)
     exact = np.fft.irfftn
     with mock.patch.object(np.fft, "irfftn", lambda *a, **kw: exact(*a, **kw) + 0.3):
         with pytest.raises(AssertionError, match="exactness"):
-            next(_pair_counts(g, [full, full], [(0, 1)]))
+            _sum_counts(full, full)
 
 
 @pytest.mark.parametrize("moduli", [(3,) * 9, (4, 5, 6, 7, 8), (9973,)])

@@ -209,6 +209,12 @@ def test_minimal_sufficient_n_is_13():
     assert not probability_bound(n - 1).below_one
 
 
+def test_minimal_sufficient_n_below_13_is_a_value_error():
+    with pytest.raises(ValueError, match="12"):
+        minimal_sufficient_n(12)
+    assert minimal_sufficient_n(13) == 13
+
+
 def test_partition_count_values():
     assert partition_count(3) == 3
     assert partition_count(6) == 45
