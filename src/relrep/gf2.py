@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -114,12 +114,19 @@ def precheck(k: int, t: int) -> PrecheckReport:
 
 @dataclass(frozen=True)
 class BasisState:
-    """An independent basis whose span's nonzero vectors all stay in `allowed`."""
+    """An independent basis whose span's nonzero vectors all stay in `allowed`.
+
+    Besides the span H it keeps the read-only `blocked_mask` of
+    B = H + ({0} | G \\ allowed): the candidates extend_basis would reject,
+    either as dependent (in H) or because some h + v leaves `allowed`.  Both
+    masks follow from (group, allowed, vectors), so states compare by those.
+    """
 
     group: GroupSpec
     allowed: ElementSet
     vectors: tuple[int, ...]
-    span_mask: np.ndarray
+    span_mask: np.ndarray = field(compare=False)
+    blocked_mask: np.ndarray = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -145,7 +152,9 @@ def initial_state(group: GroupSpec, allowed: ElementSet) -> BasisState:
     mask = np.zeros(group.order, dtype=bool)
     mask[0] = True
     mask.setflags(write=False)
-    return BasisState(group, allowed, (), mask)
+    blocked = mask | ~allowed.mask
+    blocked.setflags(write=False)
+    return BasisState(group, allowed, (), mask, blocked)
 
 
 def extend_basis(state: BasisState, v: int) -> BasisState | ExtensionRejected:
@@ -169,7 +178,10 @@ def extend_basis(state: BasisState, v: int) -> BasisState | ExtensionRejected:
         return ExtensionRejected("escapes_allowed", state.group.sub(bad, v))
     new_mask = state.span_mask | shifted
     new_mask.setflags(write=False)
-    return BasisState(state.group, state.allowed, state.vectors + (v,), new_mask)
+    # H' = H | (H + v), so H' + D = (H + D) | (H + D + v) for D = {0} | G \ allowed
+    blocked = state.blocked_mask | state.group._translate_mask(state.blocked_mask, v)
+    blocked.setflags(write=False)
+    return BasisState(state.group, state.allowed, state.vectors + (v,), new_mask, blocked)
 
 
 # -- fixture validation -------------------------------------------------------
@@ -347,28 +359,16 @@ def _fold_initial(state: BasisState, elements) -> BasisState:
     return state
 
 
-# Cells of one block of the batched escape test (|H| x candidates), or one
-# candidate's |H| cells once the span alone is larger.
-_ESCAPE_BLOCK_CELLS = 1 << 16
-
-
 def _next_extension(state: BasisState, candidates: np.ndarray, pos: int) -> int:
     """Position of the first candidate at or after pos that extend_basis
     accepts, or len(candidates) if none does.
 
-    Candidate v is accepted iff it lies outside the span H and every h ^ v
-    (h in H; nonzero, as v is outside H) is allowed: extend_basis's rule,
-    tested on a block of candidates at a time.
+    extend_basis rejects v iff v lies in the state's kept blocked mask
+    H + ({0} | G \\ allowed), so one gather of that mask tests every
+    remaining candidate.
     """
-    span = np.flatnonzero(state.span_mask)
-    block = max(1, _ESCAPE_BLOCK_CELLS // span.size)
-    for start in range(pos, candidates.size, block):
-        chunk = candidates[start:start + block]
-        ok = ~state.span_mask[chunk] & state.allowed.mask[span[:, None] ^ chunk].all(axis=0)
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return start + int(hits[0])
-    return candidates.size
+    free = np.flatnonzero(~state.blocked_mask[candidates[pos:]])
+    return pos + int(free[0]) if free.size else candidates.size
 
 
 def _run_restart(start: BasisState, candidates: np.ndarray,
@@ -387,7 +387,7 @@ def _run_restart(start: BasisState, candidates: np.ndarray,
         if pos < candidates.size:
             result = extend_basis(state, int(candidates[pos]))
             if not isinstance(result, BasisState):
-                raise RuntimeError(f"batched escape test accepted a candidate that "
+                raise RuntimeError(f"the kept blocked mask passed a candidate that "
                                    f"extend_basis rejects ({result.reason})")
             frames[-1][1] = pos + 1
             frames.append([result, pos + 1])

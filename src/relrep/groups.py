@@ -313,20 +313,36 @@ def _same_group(left: ElementSet, right: ElementSet) -> GroupSpec:
     return left.group
 
 
+# The butterflies on the lowest index bits pair runs of only 1, 2, 4, ...
+# elements, so they run on a transposed copy that puts those bits outermost.
+# 5 measured fastest of 3..7 for one or three rows at k = 7 to 16.
+_WHT_LOW_BITS = 5
+
+
 def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
     """Transform each row of a C-contiguous int64 array in place (unnormalised WHT, last axis)."""
     if rows.dtype != np.int64 or not rows.flags.c_contiguous:
         raise ValueError("the Walsh-Hadamard transform works in place on C-contiguous int64")
+    n = rows.shape[-1]
+    low = min(n, 1 << _WHT_LOW_BITS)
+    grid = rows.reshape(-1, n // low, low)  # [row, index // low, index % low]
     half = np.empty(rows.size // 2, dtype=np.int64)
-    h = 1
-    while h < rows.shape[-1]:
+    spread = grid.transpose(0, 2, 1).copy()  # index % low now has stride n // low
+    _butterflies(spread, half, n // low, n)
+    grid[...] = spread.transpose(0, 2, 1)
+    _butterflies(rows, half, low, n)
+    return rows
+
+
+def _butterflies(rows: np.ndarray, half: np.ndarray, h: int, stop: int) -> None:
+    """The WHT levels pairing entries h, 2h, ... (below stop) apart along each row."""
+    while h < stop:
         pairs = rows.reshape(-1, 2, h)
         top, bottom, diff = pairs[:, 0], pairs[:, 1], half.reshape(-1, h)
         np.subtract(top, bottom, out=diff)
         top += bottom
         bottom[...] = diff
         h *= 2
-    return rows
 
 
 def _sum_counts(left: ElementSet, right: ElementSet) -> np.ndarray:

@@ -9,12 +9,12 @@ from helpers import REPO_ROOT
 from relrep import gf2
 from relrep.cli import EXIT_REJECT, main
 
-from relrep import (BasisState, ExtensionRejected, GroupSpec,
+from relrep import (BasisState, ElementSet, ExtensionRejected, GroupSpec,
                     SearchConfig, builtin_52_65, default_threshold, extend_basis,
                     hamming_weights, induced_partition, initial_state,
                     parse_bitstrings, precheck, search,
-                    shipped_subgroup_bitstrings, span, sumset, validate_fixture,
-                    verify_sumsets, weight_class)
+                    shipped_subgroup_bitstrings, span, sumset, sumset_reference,
+                    validate_fixture, verify_sumsets, weight_class)
 
 
 def test_default_threshold_rule():
@@ -124,6 +124,48 @@ def test_span_doubles_and_stays_inside_shell():
             state = result
         if state.order >= 32:
             break
+
+
+def test_basis_states_compare_by_group_allowed_and_vectors():
+    state = _fresh_state()
+    grown = extend_basis(state, 1)
+    again = extend_basis(_fresh_state(), 1)
+    assert grown == again and grown.span_mask is not again.span_mask
+    assert grown != state
+    assert grown != extend_basis(state, 2)
+    assert extend_basis(grown, 2) != extend_basis(extend_basis(state, 2), 1)  # basis order
+    assert grown != extend_basis(initial_state(state.group, weight_class(state.group, 1, 5)), 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_blocked_mask_is_the_span_plus_the_disallowed_set(data):
+    # random allowed sets, with or without 0, not only weight shells
+    k = data.draw(st.integers(2, 10), label="k")
+    group = GroupSpec.power(2, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]), label="density")
+    mask = rng.random(group.order) < density
+    mask[0] = data.draw(st.booleans(), label="zero allowed")
+    allowed = ElementSet(group, mask)
+    blocked_base = allowed.complement() | ElementSet.singleton(group, 0)
+    states = [initial_state(group, allowed)]
+    for v in rng.permutation(allowed.indices()):
+        grown = extend_basis(states[-1], int(v))
+        if isinstance(grown, BasisState):
+            states.append(grown)
+    for state in states:
+        assert not state.blocked_mask.flags.writeable
+        assert np.array_equal(state.blocked_mask,
+                              sumset_reference(state.span_set(), blocked_base).mask)
+        # the scan picks the first candidate at or after pos that extend_basis accepts
+        candidates = rng.choice(group.order, size=int(rng.integers(0, 40)))
+        candidates = candidates[mask[candidates]]
+        pos = int(rng.integers(0, candidates.size + 1))
+        expected = next((i for i in range(pos, candidates.size)
+                         if isinstance(extend_basis(state, int(candidates[i])), BasisState)),
+                        candidates.size)
+        assert gf2._next_extension(state, candidates, pos) == expected
 
 
 # -- fixture validation ----------------------------------------------------------------
@@ -264,7 +306,7 @@ def test_search_time_budget_stops():
     assert out.report.verdict in ("accept", "reject")
 
 
-# -- the batched restart against the per-candidate oracle -------------------------
+# -- the kept-mask restart against the per-candidate oracle -----------------------
 
 
 def _sequential_restart(start, candidates, target, backtrack):
@@ -316,9 +358,6 @@ def test_batched_restart_matches_sequential_extend_basis(data):
     candidates = rng.permutation(low.indices())
     target = data.draw(st.sampled_from([None, 4, 16, 64]), label="target")
     backtrack = data.draw(st.integers(0, 3), label="backtrack")
-    # small blocks put accepts on block boundaries and spans wider than a block
-    block_cells = data.draw(st.sampled_from([1, 5, 64, gf2._ESCAPE_BLOCK_CELLS]),
-                            label="block_cells")
 
     expected, expected_best = _sequential_restart(start, candidates, target, backtrack)
 
@@ -332,11 +371,11 @@ def test_batched_restart_matches_sequential_extend_basis(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf2, "extend_basis", recording)
-        patch.setattr(gf2, "_ESCAPE_BLOCK_CELLS", block_cells)
         best = gf2._run_restart(start, candidates, target, backtrack, None)
     assert accepted == expected
     assert best.vectors == expected_best.vectors
     assert np.array_equal(best.span_mask, expected_best.span_mask)
+    assert np.array_equal(best.blocked_mask, expected_best.blocked_mask)
     assert best.order == int(best.span_mask.sum())
 
 
@@ -352,9 +391,12 @@ PINNED = REPO_ROOT / "tests" / "pinned"
     ("k10_seed2", ("--k", "10", "--target-order", "64", "--seed", "2")),
     ("k13_seed1", ("--k", "13", "--restarts", "1", "--seed", "1")),
     ("k13_seed2", ("--k", "13", "--restarts", "1", "--seed", "2")),
+    ("k16_seed1", ("--k", "16", "--restarts", "1", "--seed", "1")),
+    ("k19_seed1", ("--k", "19", "--restarts", "1", "--seed", "1")),
 ])
 def test_search_gf2_json_bytes_pinned(capsys, name, argv):
-    # recorded with the search that called extend_basis once per candidate
+    # k <= 13 recorded with the search that called extend_basis once per
+    # candidate, k = 16 and 19 with the batched block scan before the kept mask
     code = main(["--format", "json", "search-gf2", *argv])
     out = capsys.readouterr().out
     assert code == EXIT_REJECT

@@ -290,6 +290,32 @@ def test_walsh_hadamard_is_self_inverse_up_to_n():
         assert np.array_equal(_walsh_hadamard(batch), by_row)
 
 
+def _sylvester_hadamard(k):
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_walsh_hadamard_matches_the_sylvester_matrix_product():
+    # k = 1..12 and 1..6 rows: at k <= _WHT_LOW_BITS the whole transform runs
+    # on the transposed copy, above it only the low levels; entries reach
+    # +-order^2, the size of a product of two spectra
+    rng = np.random.default_rng(7)
+    for k in range(1, 13):
+        n = 1 << k
+        dense = _sylvester_hadamard(k)
+        for count in sorted({1, k % 6 + 1, 6}):
+            rows = rng.integers(-n * n, n * n + 1, size=(count, n))
+            expected = np.concatenate([rows @ dense[:, j:j + 512].astype(np.int64)
+                                       for j in range(0, n, 512)], axis=1)
+            out = rows.copy()
+            assert _walsh_hadamard(out) is out
+            assert np.array_equal(out, expected), (k, count)
+            single = rows[0].copy()
+            assert np.array_equal(_walsh_hadamard(single), expected[0])
+
+
 def test_walsh_hadamard_refuses_arrays_it_cannot_transform_in_place():
     for rows in (np.ones(8, dtype=bool), np.ones(8, dtype=np.int32),
                  np.ones((8, 2), dtype=np.int64).T):
