@@ -1,8 +1,10 @@
 """Single command-line entry point with deterministic, machine-readable output.
 
 Exit codes: 0 for success or an accepting verdict, 1 for a rejecting verdict,
-2 for usage or structural errors.  ``--format json`` emits stable sorted-key
-JSON meant for CI; randomized subcommands echo their effective seed, and
+2 for usage or structural errors.  Each subcommand builds one JSON payload.
+``--format json`` emits it as stable sorted-key JSON meant for CI;
+``--format table`` (the default) prints the same payload one key per line, in
+the same key order.  Randomized subcommands echo their effective seed, and
 re-running with that seed reproduces the output byte for byte.
 """
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -222,108 +223,35 @@ def _cmd_validate_fixture(args) -> tuple[dict, int]:
     return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
 
 
-# -- tables -----------------------------------------------------------------------
-# Each renders the lines of --format table from the subcommand's JSON payload
-# alone; args is there for validate-fixture, whose input path is not in it.
+# -- table ------------------------------------------------------------------------
 
 
-def _table_report(report: dict) -> list[str]:
-    lines = [f"verdict: {report['verdict']}  (method: {report['method']})"]
-    for pair in report["pairs"]:
-        zero = " + {0}" if pair["include_zero"] else ""
-        status = "ok" if pair["ok"] else "VIOLATED"
-        lines.append(f"  {'+'.join(pair['pair'])}: expect "
-                     f"{'+'.join(pair['expected_atoms']) or '(empty)'}{zero}  [{status}]")
-    if report["violation_count"]:
-        lines.append(f"violations: {report['violation_count']} total"
-                     + (" (truncated)" if report["truncated"] else ""))
-        for v in report["violations"][:10]:
-            cycle = ",".join(v["cycle"]) if v["cycle"] else "-"
-            lines.append(f"  {v['kind']} [{cycle}] at {v['where']}")
+def _inline(value) -> str:
+    """One value on one line: a string bare, anything else as compact JSON."""
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"),
+                                                           sort_keys=True)
+
+
+def _table(payload: dict, indent: str = "") -> list[str]:
+    """The lines of ``--format table``: the JSON payload, one key per line in sorted
+    key order.  Lists of scalars or of scalar lists stay on one line, a dict is an
+    indented block, a list of dicts one ``- k=v`` line per item, empty ``(none)``."""
+    lines = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, (dict, list)) and not value:
+            lines.append(f"{indent}{key}: (none)")
+        elif isinstance(value, dict):
+            lines += [f"{indent}{key}:"] + _table(value, indent + "  ")
+        elif isinstance(value, list) and all(isinstance(item, dict) for item in value):
+            lines.append(f"{indent}{key}:")
+            lines += [f"{indent}  - " + " ".join(f"{k}={_inline(v)}"
+                                                 for k, v in sorted(item.items()))
+                      for item in value]
+        elif isinstance(value, list):
+            lines.append(f"{indent}{key}: " + " ".join(map(_inline, value)))
+        else:
+            lines.append(f"{indent}{key}: {_inline(value)}")
     return lines
-
-
-def _table_show_algebra(args, payload: dict) -> list[str]:
-    return ([f"algebra {payload['name'] or '(unnamed)'}",
-             "atoms: " + " ".join(payload["atoms"]),
-             "allowed cycles: " + " ".join(payload["allowed_cycles"]),
-             "forbidden cycles: " + " ".join(payload["forbidden_cycles"]),
-             "required sumset profiles:"]
-            + [f"  {'+'.join(p['pair'])} = {'+'.join(p['atoms']) or '(empty)'}"
-               + (" + {0}" if p["include_zero"] else "") for p in payload["profiles"]])
-
-
-def _table_verify_group_rep(args, payload: dict) -> list[str]:
-    lines = [f"spec {payload['spec']} over "
-             f"{parse_group_flag(payload['group']).describe()}"]
-    for method in _METHODS:  # JSON sorts the report keys; keep run order
-        if method in payload["reports"]:
-            lines.extend(_table_report(payload["reports"][method]))
-    return lines
-
-
-def _table_comer(args, payload: dict) -> list[str]:
-    if "sweep" in payload:
-        return [f"p={r['p']} m={r['m']} g={r['g']} symmetric={r['symmetric']} "
-                + (f"allowed={r['allowed']} forbidden={r['forbidden']}"
-                   if "allowed" in r else
-                   f"ordered-cycles={r['allowed_ordered']} (orientation-dependent)")
-                for r in payload["sweep"]]
-    lines = [f"scheme p={payload['p']} m={payload['m']} g={payload['g']} "
-             f"symmetric={payload['symmetric']} coset size {payload['coset_size']}"]
-    if "allowed" in payload:
-        for kind in ("allowed", "forbidden"):
-            lines.append(f"{kind} cycles ({len(payload[kind])}): "
-                         + " ".join("".join(map(str, t)) for t in payload[kind]))
-    else:
-        lines.append(f"orientation-dependent structure; "
-                     f"{len(payload['allowed_ordered'])} ordered cycles")
-    return lines
-
-
-def _table_build_59(args, payload: dict) -> list[str]:
-    reports, written = payload["reports"], payload["partition_file"]
-    return ([f"59_65 over Z/{payload['p']} (m={payload['m']}, g={payload['g']}): "
-             f"sizes {payload['sizes']}"]
-            + _table_report(reports["sumsets"])
-            + [f"bruteforce agrees: {reports['bruteforce']['verdict']}"]
-            + ([f"partition written to {written}"] if written else []))
-
-
-def _table_johnson_bound(args, payload: dict) -> list[str]:
-    return ([f"{'n':>4} {'C(3n-4,n)':>16} {'log10(bound)':>14} below_one"]
-            + [f"{r['n']:>4} {r['binomial']:>16} {r['log10_bound']:>14.4f} "
-               f"{str(r['below_one']).lower()}" for r in payload["rows"]]
-            + [f"first n with bound < 1: {payload['first_below_one']}"])
-
-
-def _table_johnson_mc(args, payload: dict) -> list[str]:
-    return ([f"johnson mc: n={payload['n']} universe={payload['universe_size']} "
-             f"classes of {payload['class_size']}, seed={payload['seed']}"]
-            + [f"  trial {d['trial']}: {d['verdict']} ({d['violation_count']} violations)"
-               for d in payload["records"]])
-
-
-def _table_search_gf2(args, payload: dict) -> list[str]:
-    return [f"search k={payload['k']} t={payload['t']} seed={payload['seed']}: "
-            f"|H| = {payload['order']} after {payload['restarts_run']} restart(s) "
-            f"(stopped by {payload['stopped_by']})",
-            f"basis: {' '.join(payload['basis']) or '(trivial)'}",
-            f"verdict: {payload['verdict']}"]
-
-
-def _table_validate_fixture(args, payload: dict) -> list[str]:
-    verification = payload["verification"]
-    return [f"fixture {args.path}: {payload['element_count']} elements over "
-            f"(Z/2)^{payload['k']}",
-            f"  weights within [1, {payload['t']}]: {payload['weights_ok']}",
-            f"  closed subgroup with 0: {payload['closure_ok']} "
-            f"(order {payload['subgroup_order']})",
-            f"  sumset verification: "
-            f"{verification['verdict'] if verification else 'skipped'}",
-            f"  b-clique classes: {payload['class_count']} of size "
-            f"{payload['class_size']} (ok: {payload['classes_ok']})",
-            f"verdict: {payload['verdict']}"]
 
 
 # -- parser -----------------------------------------------------------------------
@@ -331,18 +259,18 @@ def _table_validate_fixture(args, payload: dict) -> list[str]:
 
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; ``main`` reads RELREP_FORMAT per call."""
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="relrep",
         description="Build and verify finite representations of relation "
                     "algebras 52_65 and 59_65.")
-    parser.add_argument("--format", choices=("table", "json"),
-                        help="output format (default: env RELREP_FORMAT, else table)")
+    parser.add_argument("--format", choices=("table", "json"), default="table",
+                        help="output format (default: table)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("show-algebra", help="print an algebra's cycle structure")
     p.add_argument("spec", help="52_65, 59_65, or a path to a spec file")
-    p.set_defaults(func=_cmd_show_algebra, table=_table_show_algebra)
+    p.set_defaults(func=_cmd_show_algebra)
 
     p = sub.add_parser("verify-group-rep", help="verify a partition file")
     p.add_argument("partition", help="path to an 'atom element' partition file")
@@ -352,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="sumsets")
     p.add_argument("--no-early-exit", dest="early_exit", action="store_false",
                    help="count every violation instead of stopping at the first")
-    p.set_defaults(func=_cmd_verify_group_rep, table=_table_verify_group_rep)
+    p.set_defaults(func=_cmd_verify_group_rep)
 
     p = sub.add_parser("comer", help="cyclotomic coset scheme cycle structure")
     p.add_argument("--p", type=int)
@@ -360,23 +288,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, help="primitive root (default: smallest)")
     p.add_argument("--sweep-max-p", type=int,
                    help="scan all primes up to this bound instead (uses --m; not with --p or --g)")
-    p.set_defaults(func=_cmd_comer, table=_table_comer)
+    p.set_defaults(func=_cmd_comer)
 
     p = sub.add_parser("build-59", help="build and verify the 59_65 representation")
     p.add_argument("--p", type=int, default=113)
     p.add_argument("--g", type=int)
     p.add_argument("--out", help="write the partition to this file")
-    p.set_defaults(func=_cmd_build_59, table=_table_build_59)
+    p.set_defaults(func=_cmd_build_59)
 
     p = sub.add_parser("johnson-bound", help="table of the existence bound by n")
     p.add_argument("--max-n", type=int, default=16)
-    p.set_defaults(func=_cmd_johnson_bound, table=_table_johnson_bound)
+    p.set_defaults(func=_cmd_johnson_bound)
 
     p = sub.add_parser("johnson-mc", help="Monte Carlo trials of random colorings")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, help="base seed (derived and echoed if omitted)")
-    p.set_defaults(func=_cmd_johnson_mc, table=_table_johnson_mc)
+    p.set_defaults(func=_cmd_johnson_mc)
 
     p = sub.add_parser("search-gf2", help="randomized subgroup search over (Z/2)^k")
     p.add_argument("--k", type=int, required=True)
@@ -388,13 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float,
                    help="wall-clock seconds; trades determinism for a hard stop")
     p.add_argument("--seed-fixture", help="bitstring file folded into every restart's basis")
-    p.set_defaults(func=_cmd_search_gf2, table=_table_search_gf2)
+    p.set_defaults(func=_cmd_search_gf2)
 
     p = sub.add_parser("validate-fixture", help="run the four subgroup-fixture checks")
     p.add_argument("path", help="bitstring file, one element per line")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--t", type=int, default=6)
-    p.set_defaults(func=_cmd_validate_fixture, table=_table_validate_fixture)
+    p.set_defaults(func=_cmd_validate_fixture)
     return parser
 
 
@@ -402,11 +330,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
-        output = args.format or os.environ.get("RELREP_FORMAT", "table")
-        lines = ([json.dumps(payload, indent=2, sort_keys=True)]
-                 if output == "json" else args.table(args, payload))
-        for line in lines:
-            print(line)
+        text = json.dumps(payload, indent=2, sort_keys=True)  # the table renders this text
+        print(text if args.format == "json" else "\n".join(_table(json.loads(text))))
     except (ValueError, OSError) as exc:  # StructuralError, SchemeError, SpecError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -32,6 +32,12 @@ def default_threshold(k: int) -> int:
     return 2 * (k - 1) // 3
 
 
+def _check_threshold(k: int, t: int) -> None:
+    """Refuse a weight cutoff t outside 1 <= t < k, where X and C are both nonempty."""
+    if not 1 <= t < k:
+        raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {k}")
+
+
 def parse_bitstrings(lines, k: int) -> list[int]:
     """Element indices from k-character bitstring lines ('#' starts a comment)."""
     group = GroupSpec.power(2, k)
@@ -94,8 +100,7 @@ def precheck(k: int, t: int) -> PrecheckReport:
     (k, t) alone, so it is computed once per pair; the report is immutable.
     """
     group = GroupSpec.power(2, k)
-    if not 1 <= t < k:
-        raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {k}")
+    _check_threshold(k, t)
     low = weight_class(group, 1, t)
     high = weight_class(group, t + 1, k)
     everything = ElementSet.full(group)
@@ -229,6 +234,7 @@ def induced_partition(group: GroupSpec, subgroup_elements: ElementSet, t: int) -
 def validate_fixture(bitstrings, k: int = 10, t: int = 6) -> FixtureValidation:
     """Run the four subgroup-fixture checks: weights, closure, sumsets, cliques."""
     group = GroupSpec.power(2, k)
+    _check_threshold(k, t)
     elements = parse_bitstrings(bitstrings, k)
     weights = hamming_weights(k)
     bad = tuple(group.format_element(e) for e in elements
@@ -280,9 +286,7 @@ class SearchConfig:
     def validated(self) -> "SearchConfig":
         if self.k < 2:
             raise ValueError("dimension k must be at least 2")
-        t = self.resolved_t
-        if not 1 <= t < self.k:
-            raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {self.k}")
+        _check_threshold(self.k, self.resolved_t)
         if self.target_order is not None:
             m = self.target_order
             if m < 1 or (m & (m - 1)) or m > (1 << self.k):

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import FIXTURES, REPO_ROOT
 from relrep import GroupSpec, StructuralError
-from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, _build_parser,
-                        format_group_flag, load_partition, main, parse_group_flag,
-                        write_partition)
+from relrep import cli
+from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, format_group_flag,
+                        load_partition, main, parse_group_flag, write_partition)
 
 PINNED = REPO_ROOT / "tests" / "pinned"
 
@@ -184,6 +186,14 @@ def test_validate_fixture_rejects_mutation(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "validate-fixture", str(bad))
     assert code == EXIT_REJECT
     assert payload["verdict"] == "reject"
+
+
+@pytest.mark.parametrize("t", ["0", "10"])
+def test_validate_fixture_threshold_out_of_range_exits_2(capsys, t):
+    code, out, err = run_cli(capsys, "validate-fixture", str(FIXTURES / "h52_k10.txt"),
+                             "--t", t)
+    assert code == EXIT_ERROR and not out
+    assert f"threshold t = {t} must satisfy 1 <= t < k = 10" in err
 
 
 def test_verify_group_rep_accepts_comer_partition(capsys):
@@ -364,50 +374,28 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_format_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("RELREP_FORMAT", "json")
-    code = main(["show-algebra", "52_65"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    json.loads(out)
-
-
-def test_format_env_is_read_on_every_call(capsys, monkeypatch):
-    # the parser is built once per process, here while RELREP_FORMAT says json;
-    # the variable must still be read on every call
-    _build_parser.cache_clear()
-    monkeypatch.setenv("RELREP_FORMAT", "json")
-    assert main(["show-algebra", "52_65"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["name"] == "52_65"
-    monkeypatch.delenv("RELREP_FORMAT")
-    assert main(["show-algebra", "52_65"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("algebra 52_65\natoms: ")
-
-
 def test_table_output_is_default(capsys):
     code, out, _ = run_cli(capsys, "show-algebra", "52_65")
     assert code == EXIT_OK
-    assert "allowed cycles:" in out
+    assert "allowed_cycles:" in out
 
 
 _H52 = str(FIXTURES / "h52_k10.txt")
 
 
 _KEY_LINES = [
-    (("show-algebra", "52_65"), "forbidden cycles: abb bbc ccc"),
+    (("show-algebra", "52_65"), "forbidden_cycles: abb bbc ccc"),
     (("verify-group-rep", str(FIXTURES / "comer113_partition.txt"), "--spec", "52_65"),
-     "verdict: reject  (method: sumsets)"),
-    (("comer", "--p", "113", "--m", "8"),
-     "scheme p=113 m=8 g=3 symmetric=True coset size 14"),
+     "verdict: reject"),
+    (("comer", "--p", "113", "--m", "8"), "coset_size: 14"),
     (("comer", "--m", "2", "--sweep-max-p", "20"),
-     "p=5 m=2 g=2 symmetric=True allowed=2 forbidden=2"),
-    (("build-59",), "bruteforce agrees: accept"),
-    (("johnson-bound", "--max-n", "16"), "first n with bound < 1: 13"),
-    (("johnson-mc", "--n", "5", "--trials", "1", "--seed", "9"),
-     "johnson mc: n=5 universe=462 classes of 154, seed=9"),
+     "  - allowed_ordered=2 g=2 m=2 orientation_dependent=true p=3 symmetric=false"),
+    (("build-59",), "verdict: accept"),
+    (("johnson-bound", "--max-n", "16"), "first_below_one: 13"),
+    (("johnson-mc", "--n", "5", "--trials", "1", "--seed", "9"), "universe_size: 462"),
     (("search-gf2", "--k", "10", "--seed", "12", "--restarts", "2",
       "--target-order", "64", "--seed-fixture", _H52), "verdict: accept"),
-    (("validate-fixture", _H52), "  b-clique classes: 16 of size 64 (ok: True)"),
+    (("validate-fixture", _H52), "class_count: 16"),
 ]
 
 
@@ -430,6 +418,51 @@ def test_table_output_matches_json_exit_code(capsys, argv, key_line):
 def test_table_is_rendered_from_the_json_payload_alone(capsys, argv):
     json_code, json_out, _ = run_cli(capsys, "--format", "json", *argv)
     code, out, _ = run_cli(capsys, "--format", "table", *argv)
-    args = _build_parser().parse_args(argv)
-    assert "\n".join(args.table(args, json.loads(json_out))) + "\n" == out
+    assert "\n".join(cli._table(json.loads(json_out))) + "\n" == out
     assert code == json_code
+
+
+def test_table_layout():
+    payload = {"e": True, "d": 1.5, "c": [["p", 1], ["q", 2]],
+               "b": [{"y": [1, 2], "x": "s"}], "a": {"n": None, "m": [], "l": "x y"}}
+    assert cli._table(payload) == [
+        "a:", "  l: x y", "  m: (none)", "  n: null",
+        "b:", "  - x=s y=[1,2]",
+        'c: ["p",1] ["q",2]',
+        "d: 1.5",
+        "e: true"]
+
+
+_WORDS = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                               blacklist_characters='"\\'), min_size=1, max_size=5)
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False) | _WORDS)
+_VALUES = st.recursive(
+    _SCALARS | st.lists(_SCALARS, max_size=4) | st.lists(st.lists(_SCALARS, max_size=3),
+                                                         max_size=3),
+    lambda inner: (st.dictionaries(_WORDS, inner, max_size=4)
+                   | st.lists(st.dictionaries(_WORDS, inner, max_size=3), max_size=3)),
+    max_leaves=12)
+
+
+def _keys_and_leaves(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys_and_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys_and_leaves(item)
+    else:
+        yield value if isinstance(value, str) else json.dumps(value)
+
+
+@given(st.dictionaries(_WORDS, _VALUES, max_size=5))
+def test_table_shows_every_key_and_scalar_of_the_payload(payload):
+    lines = cli._table(payload)
+    top = [line.split(": ", 1)[0] if ": " in line else line[:-1]
+           for line in lines if not line.startswith(" ")]
+    assert top == sorted(payload)  # one line per top-level key, in JSON's key order
+    text = "\n".join(lines)
+    for fact in _keys_and_leaves(payload):
+        assert fact in text

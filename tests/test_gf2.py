@@ -210,6 +210,11 @@ def test_flipping_a_bit_breaks_closure_and_verification():
     assert not result.passed
 
 
+def test_fixture_threshold_out_of_range():
+    with pytest.raises(ValueError, match="1 <= t < k"):
+        validate_fixture(shipped_subgroup_bitstrings(), t=0)
+
+
 def test_fixture_parse_errors():
     with pytest.raises(ValueError, match="bitstring"):
         validate_fixture(["011000000"])  # nine characters

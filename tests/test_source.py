@@ -32,3 +32,20 @@ def test_no_unused_top_level_imports_in_library():
         offenders += [f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in used]
     assert offenders == []
+
+
+def _print_callers(node, owner):
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "print"):
+            yield owner
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _print_callers(child, f"{owner}.{child.name}" if named else owner)
+
+
+def test_only_cli_main_prints():
+    # stdout carries the payload alone, so diagnostics and traces must not print
+    callers = set()
+    for path in sorted((REPO_ROOT / "src" / "relrep").glob("*.py")):
+        callers.update(_print_callers(ast.parse(path.read_text()), path.stem))
+    assert callers == {"cli.main"}
