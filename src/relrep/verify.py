@@ -26,10 +26,10 @@ EMPTY_ATOM = "empty_atom"
 DEFAULT_VIOLATION_CAP = 100
 
 # The one limit on N^2 work.  Building and brute-force verifying an N-point,
-# A-atom coloring peaks near N^2 (7 A + 5) bytes, fitted to measured peak RSS:
-# a bool mask per atom, a float32 copy and a uint16 remainder per atom but the
-# last, the colors, the bool reach and violation masks of one atom pair, and
-# one 16 MiB block of float32 counts.
+# A-atom coloring peaks near N^2 (3 A + 10) bytes, fitted to measured peak RSS:
+# a bool mask per atom, a uint16 remainder per atom but the last, the colors,
+# the bool reach and violation masks of one atom pair, and the float32 tiles
+# of one witness product.
 MEMORY_BUDGET = 4 << 30
 
 # float32 holds every integer below 2^24 exactly and a witness count is at most
@@ -42,9 +42,10 @@ _FLOAT32_EXACT_POINTS = 1 << 24
 # The memory guard keeps colorings far smaller.
 _UINT16_EXACT_POINTS = 1 << 16
 
-# Cells of one row block of a witness product: 2^22 float32 counts (16 MiB)
-# ran as fast as the whole product at N = 3003; much smaller blocks cost more.
-_WITNESS_BLOCK_CELLS = 1 << 22
+# Cells of one operand tile of a witness product (side 2^21 // N, one tile up
+# to N = 1448).  At N = 3003 on 2 cores, 698-wide tiles ran within noise of
+# 1396-wide ones, which peaked 22 MB higher, and faster than 349-wide ones.
+_WITNESS_TILE_CELLS = 1 << 21
 
 # Side of the square tiles in which a transposed uint16 matrix is subtracted:
 # at N = 3003 one strided pass over all N^2 cells took 60 ms and 256 x 256
@@ -66,7 +67,7 @@ class MemoryGuardError(ValueError):
 
 def check_coloring_memory(points: int, atoms: int) -> None:
     """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
-    need = points * points * (7 * atoms + 5)
+    need = points * points * (3 * atoms + 10)
     if need > MEMORY_BUDGET:
         raise MemoryGuardError(
             f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
@@ -260,29 +261,41 @@ class EdgeColoring:
         return self.colors == code
 
 
-def _witness_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (start, stop, counts) for each row block of the float32 product a @ b.
+def _witness_tiles(a: np.ndarray, b: np.ndarray, symmetric: bool):
+    """Yield (rows, cols, counts) for each square tile of the float32 product a @ b.
 
-    A block has at most _WITNESS_BLOCK_CELLS cells, and every block is computed
-    into one buffer, so no full-size float product is ever held.
+    ``a`` and ``b`` are 0/1 bool matrices; each operand tile is converted to
+    float32 just before its product, so no float array beyond one tile is held.
+    Every tile is computed into one buffer, so a tile's counts are valid until
+    the next tile is drawn.  With ``symmetric`` (b is a, and a is a symmetric
+    matrix) the product is symmetric: only the tiles on or above the diagonal
+    are multiplied, and each off-diagonal one is yielded again, transposed,
+    as its mirror.
     """
     if a.shape[1] >= _FLOAT32_EXACT_POINTS:
         raise ValueError(
             f"witness product over {a.shape[1]} points: float32 counts are exact "
             f"only below {_FLOAT32_EXACT_POINTS} points")
-    rows, cols = a.shape[0], b.shape[1]
-    step = max(1, _WITNESS_BLOCK_CELLS // cols)
-    counts = np.empty((min(step, rows), cols), dtype=np.float32)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        yield start, stop, np.matmul(a[start:stop], b, out=counts[:stop - start])
+    side = max(1, _WITNESS_TILE_CELLS // a.shape[1])
+    buffer = np.empty((min(side, a.shape[0]), min(side, b.shape[1])), dtype=np.float32)
+    for r in range(0, a.shape[0], side):
+        rows = slice(r, r + side)
+        left = a[rows].astype(np.float32)
+        for c in range(r if symmetric else 0, b.shape[1], side):
+            cols = slice(c, c + side)
+            counts = buffer[:len(left), :min(side, b.shape[1] - c)]
+            np.matmul(left, left.T if symmetric and c == r else b[:, cols].astype(np.float32),
+                      out=counts)
+            yield rows, cols, counts
+            if symmetric and c != r:
+                yield cols, rows, counts.T
 
 
-def _witness_reach(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product of 0/1 float32 matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
+def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Boolean product of bool matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
     reach = np.empty((a.shape[0], b.shape[1]), dtype=bool)
-    for start, stop, counts in _witness_blocks(a, b):
-        np.greater(counts, 0, out=reach[start:stop])
+    for rows, cols, counts in _witness_tiles(a, b, symmetric):
+        np.greater(counts, 0, out=reach[rows, cols])
     return reach
 
 
@@ -421,20 +434,19 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     - A_L A_L = deg_L(x) - A_L - sum_{k != L} A_L A_k.
 
     Each remainder is a uint16 matrix, from which the witness product
-    subtracts every block of counts it computes.
+    subtracts every tile of counts it computes.
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     report = VerificationReport("bruteforce", early_exit, max_recorded)
     masks = {n: coloring.atom_mask(n) for n in names}
     first, last = (names[0], names[-1]) if names else (None, None)
-    floats = {n: masks[n].astype(np.float32) for n in names if n != last}
     # the first atom keeps a row remainder and every other atom before L a
     # column remainder, so with three atoms no count is subtracted transposed.
     # They share one array, and each is filled when counts are first subtracted
     # from it: the pages of one that an early exit never reaches stay unwritten.
-    remainders = dict(zip(floats, np.empty((len(floats),) + coloring.colors.shape,
-                                           dtype=np.uint16)))
+    remainders = dict(zip(names[:-1], np.empty((len(names[:-1]),) + coloring.colors.shape,
+                                               dtype=np.uint16)))
     filled = set()
 
     empty = [name for name in names if not masks[name].any()]
@@ -445,14 +457,13 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
             yield f"({x},{z},{y})"
 
-    def subtract(drains, start: int, counts: np.ndarray) -> None:
-        stop = start + len(counts)
+    def subtract(drains, rows: slice, cols: slice, counts: np.ndarray) -> None:
         for name, transposed in drains:
             rest = remainders[name]
             if name not in filled:
                 filled.add(name)
                 _remainder(masks[name], by_rows=name == first, out=rest)
-            target = rest[:, start:stop].T if transposed else rest[start:stop]
+            target = rest[cols, rows].T if transposed else rest[rows, cols]
             np.subtract(target, counts, out=target, casting="unsafe")
 
     def product(j: str, k: str):
@@ -460,33 +471,34 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
 
         A_j A_k counts toward k's column remainder, and toward j's row
         remainder (j first) or, transposed, its column remainder.  A product
-        of several row blocks is subtracted block by block.  A product of one
-        block is returned whole and subtracted only once the pair is checked,
-        so a pair that ends an early-exit walk costs no upkeep.
+        of several tiles is subtracted tile by tile; A_j A_j is symmetric, so
+        only its upper tiles are multiplied.  A product of one tile is
+        returned whole and subtracted only once the pair is checked, so a
+        pair that ends an early-exit walk costs no upkeep.
         """
         drains = [(k, False)] if k != first else []
         if j == first or j != k:
             drains.append((j, j != first))
         reach = np.empty_like(masks[j])
-        for start, stop, counts in _witness_blocks(floats[j], floats[k]):
-            np.greater(counts, 0, out=reach[start:stop])
-            if stop - start == len(reach):
+        for rows, cols, counts in _witness_tiles(masks[j], masks[k], j == k):
+            np.greater(counts, 0, out=reach[rows, cols])
+            if counts.size == reach.size:
                 return reach, drains, counts
-            subtract(drains, start, counts)
+            subtract(drains, rows, cols, counts)
         return reach, drains, None
 
     for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
         # reach is the pair's witness reach, or its transpose when flipped;
-        # the masks are symmetric, so (masks & reach).T is the pair's own mask
-        flipped, pending = False, None
+        # the masks are symmetric, so (masks & reach).T is the pair's own mask.
+        # The previous pair's masks are released before this pair's product.
+        flipped, pending, reach, bad = False, None, None, None
         if k != last:
             reach, drains, pending = product(j, k)
         elif j != last:
             reach, flipped = remainders[j] > 0, j != first
         else:
-            floats.clear()
             counts = _remainder(masks[last], by_rows=True)
             for name, rest in remainders.items():
                 if name == first:
@@ -501,7 +513,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             if report.stopped:
                 break
             if i in profile_names:
-                kind, bad = MISSING_WITNESS, masks[i] & ~reach
+                kind, bad = MISSING_WITNESS, masks[i] > reach
             else:
                 kind, bad = FORBIDDEN_REALIZED, masks[i] & reach
             if flipped:
@@ -515,7 +527,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
         report.pair_checks.append(PairCheck(j, k, profile_names, include_zero, actual_atoms,
                                             has_zero, report.violation_count == before))
         if pending is not None and not report.stopped:
-            subtract(drains, 0, pending)
+            subtract(drains, slice(None), slice(None), pending)
     return report
 
 
@@ -538,11 +550,9 @@ class EquivalenceResult:
 
 def equivalence_classes(coloring: EdgeColoring, atom_name: str) -> EquivalenceResult:
     """Partition points by (atom_name or identity) if transitive, else witness."""
-    relation = coloring.atom_mask(atom_name).copy()
+    relation = coloring.atom_mask(atom_name)
     np.fill_diagonal(relation, True)
-    rel_f = relation.astype(np.float32)
-    two_step = _witness_reach(rel_f, rel_f)
-    bad = two_step & ~relation
+    bad = _witness_reach(relation, relation, symmetric=True) > relation
     if bad.any():
         x, y = next(_true_cells(bad))
         z = int(np.flatnonzero(relation[x] & relation[:, y])[0])

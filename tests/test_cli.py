@@ -299,7 +299,7 @@ def test_johnson_mc_deterministic_output(capsys):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_johnson_mc_json_bytes_pinned(capsys, seed):
     # recorded while verify_bruteforce still multiplied every atom pair; the
-    # n = 6 file is compared in CI, the one input whose products span several row blocks
+    # n = 6 file is compared in CI, the one input whose products span several tiles
     code = main(["--format", "json", "johnson-mc", "--n", "5", "--trials", "1",
                  "--seed", str(seed)])
     assert code == EXIT_OK

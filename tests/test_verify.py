@@ -286,10 +286,10 @@ def test_cayley_coloring_refuses_over_budget_before_allocating():
 
 
 def test_memory_guard_admits_the_desk_scale_colorings():
-    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 1.7 GB
+    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 1.3 GB
     check_coloring_memory(JohnsonUniverse(6).size, 3)
     with pytest.raises(MemoryGuardError, match="bytes"):
-        check_coloring_memory(8192, 11)  # the float32 copies scale with the atoms
+        check_coloring_memory(8192, 20)  # the masks and remainders scale with the atoms
     with pytest.raises(MemoryGuardError, match="guard"):
         check_coloring_memory(JohnsonUniverse(8).size, 3)
 
@@ -381,28 +381,58 @@ def _boolean_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] & b[None, :, :]).any(axis=1)
 
 
-@pytest.mark.parametrize("size,block_cells", [
+@pytest.mark.parametrize("size,tile_cells", [
     (1, None), (2, None), (113, None),
-    (37, 5 * 37),  # 5-row blocks, the last of 2 rows
+    (37, 5 * 37),  # 5 x 5 tiles, the last row and column of tiles 2 wide
+    (37, 37),  # 1 x 1 tiles
 ])
 @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
-def test_witness_reach_matches_boolean_oracle(size, block_cells, density, monkeypatch):
-    if block_cells is not None:
-        monkeypatch.setattr(relrep.verify, "_WITNESS_BLOCK_CELLS", block_cells)
+def test_witness_reach_matches_boolean_oracle(size, tile_cells, density, monkeypatch):
+    if tile_cells is not None:
+        monkeypatch.setattr(relrep.verify, "_WITNESS_TILE_CELLS", tile_cells)
     rng = np.random.default_rng(size * 10 + int(density * 10))
     a = rng.random((size, size)) < density
     b = rng.random((size, size)) < density
-    reach = _witness_reach(a.astype(np.float32), b.astype(np.float32))
+    reach = _witness_reach(a, b)
     assert reach.dtype == bool
     assert np.array_equal(reach, _boolean_product(a, b))
+    sym = a | a.T  # the upper tiles and their mirrors
+    assert np.array_equal(_witness_reach(sym, sym, symmetric=True), _boolean_product(sym, sym))
 
 
 def test_witness_reach_refuses_counts_float32_cannot_hold():
     points = 1 << 24
-    a = np.broadcast_to(np.float32(1), (1, points))  # zero-stride views: nothing allocated
-    b = np.broadcast_to(np.float32(1), (points, 1))
+    a = np.broadcast_to(np.True_, (1, points))  # zero-stride views: nothing allocated
+    b = np.broadcast_to(np.True_, (points, 1))
     with pytest.raises(ValueError, match="float32"):
         _witness_reach(a, b)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
+    g = GroupSpec.power(2, 9)
+    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(0))
+    coloring = cayley_coloring(part)
+    n = coloring.point_count
+    monkeypatch.setattr(relrep.verify, "_WITNESS_TILE_CELLS", 32 * n)  # 16 x 16 tiles
+    a, b = coloring.atom_mask("a"), coloring.atom_mask("b")
+    # the bool reach is 1 B/cell and the tiles 0.5; a float32 copy of one
+    # operand would add 4
+    assert _traced_peak(lambda: _witness_reach(a, b)) < 2 * n * n
+    assert _traced_peak(lambda: _witness_reach(a, a, symmetric=True)) < 2 * n * n
+    # three bool masks, two uint16 remainders, the last atom's remainder and a
+    # pair's bool reach, violation mask and one temporary are 12 B/cell; the
+    # float32 copies of two atoms would add 8
+    peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), coloring, early_exit=False))
+    assert peak < 14 * n * n
 
 
 def test_remainder_refuses_counts_uint16_cannot_hold():
@@ -434,7 +464,7 @@ def _pairwise_bruteforce(spec, coloring, early_exit, max_recorded):
     for j, k, profile, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        reach = _witness_reach(masks[j].astype(np.float32), masks[k].astype(np.float32))
+        reach = _witness_reach(masks[j], masks[k])
         before = report.violation_count
         for i in names:
             if report.stopped:
@@ -484,13 +514,13 @@ def _colorings(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_colorings(), block=st.sampled_from(["row", "ragged", "whole"]),
+@given(case=_colorings(), tile=st.sampled_from(["cell", "ragged", "whole"]),
        early_exit=st.booleans(), max_recorded=st.sampled_from([0, 2, 100]))
-def test_bruteforce_matches_pairwise_products(case, block, early_exit, max_recorded):
+def test_bruteforce_matches_pairwise_products(case, tile, early_exit, max_recorded):
     spec, coloring = case
     n = coloring.point_count
-    rows = {"row": 1, "ragged": n // 2 + 1, "whole": n}[block]  # ragged: a shorter last block
-    with mock.patch.object(relrep.verify, "_WITNESS_BLOCK_CELLS", rows * n):
+    side = {"cell": 1, "ragged": n // 2 + 1, "whole": n}[tile]  # ragged: a shorter last tile
+    with mock.patch.object(relrep.verify, "_WITNESS_TILE_CELLS", side * n):
         report = verify_bruteforce(spec, coloring, early_exit=early_exit,
                                    max_recorded=max_recorded)
     oracle = _pairwise_bruteforce(spec, coloring, early_exit, max_recorded)
