@@ -1,7 +1,8 @@
 """Single command-line entry point with deterministic, machine-readable output.
 
 Exit codes: 0 for success or an accepting verdict, 1 for a rejecting verdict,
-2 for usage or structural errors.  Each subcommand builds one JSON payload.
+2 for usage, structural or internal errors, so that a broken invariant is never
+read as a verdict.  Each subcommand builds one JSON payload.
 ``--format json`` emits it as stable sorted-key JSON meant for CI;
 ``--format table`` (the default) prints the same payload one key per line, in
 the same key order.  Randomized subcommands echo their effective seed, and
@@ -332,7 +333,8 @@ def main(argv=None) -> int:
         payload, code = args.func(args)
         text = json.dumps(payload, indent=2, sort_keys=True)  # the table renders this text
         print(text if args.format == "json" else "\n".join(_table(json.loads(text))))
-    except (ValueError, OSError) as exc:  # StructuralError, SchemeError, SpecError too
+    except (ValueError, OSError,  # StructuralError, SchemeError, SpecError too
+            RuntimeError, AssertionError) as exc:  # broken invariants: an error, not a verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -47,8 +47,8 @@ _UINT16_EXACT_POINTS = 1 << 16
 # 1396-wide ones, which peaked 22 MB higher, and faster than 349-wide ones.
 _WITNESS_TILE_CELLS = 1 << 21
 
-# Side of the square tiles in which a transposed uint16 matrix is subtracted:
-# at N = 3003 one strided pass over all N^2 cells took 60 ms and 256 x 256
+# Side of the square tiles in which a transposed matrix is subtracted: at
+# N = 3003 one strided pass over all N^2 uint16 cells took 60 ms and 256 x 256
 # tiles 13 ms; at N = 1024 both took about 2 ms (2 cores).
 _TRANSPOSE_TILE = 256
 
@@ -299,27 +299,31 @@ def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.
     return reach
 
 
-def _remainder(mask: np.ndarray, by_rows: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """deg(x) - mask[x, y] (by rows) or deg(y) - mask[x, y] (by columns), as uint16.
+def _degrees(mask: np.ndarray) -> np.ndarray:
+    """The row sums of a symmetric 0/1 mask (its points' degrees), as uint16.
 
-    ``verify_bruteforce`` subtracts witness counts from it down to a count of
-    its own, so every value it takes lies between 0 and a degree, which is
-    below the number of points.
+    ``verify_bruteforce`` subtracts witness counts from degrees down to a count
+    of its own, so every remainder lies between 0 and a degree, which is below
+    the number of points.
     """
     if mask.shape[0] >= _UINT16_EXACT_POINTS:
         raise ValueError(
             f"remainder over {mask.shape[0]} points: uint16 counts are exact "
             f"only below {_UINT16_EXACT_POINTS} points")
-    degree = mask.sum(axis=1, dtype=np.uint16)
-    return np.subtract(degree[:, None] if by_rows else degree, mask, out=out)
+    return mask.sum(axis=1, dtype=np.uint16)
 
 
 def _subtract_transposed(target: np.ndarray, source: np.ndarray) -> None:
-    """target -= source.T for square matrices, one _TRANSPOSE_TILE square at a time."""
+    """target -= source.T for an m x n uint16 block, one _TRANSPOSE_TILE square at a time.
+
+    ``source`` may be the float32 counts of a witness product, whose exact
+    integer differences are cast back to uint16.
+    """
     tile = _TRANSPOSE_TILE
-    for i in range(0, len(target), tile):
-        for j in range(0, len(target), tile):
-            target[i:i + tile, j:j + tile] -= source[j:j + tile, i:i + tile].T
+    for i in range(0, target.shape[0], tile):
+        for j in range(0, target.shape[1], tile):
+            block = target[i:i + tile, j:j + tile]
+            np.subtract(block, source[j:j + tile, i:i + tile].T, out=block, casting="unsafe")
 
 
 def _true_cells(mask: np.ndarray):
@@ -424,29 +428,26 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     A validated coloring gives each off-diagonal edge exactly one diversity
     atom and each diagonal point the identity, so the diversity atoms sum to
     J - I.  Hence sum_k A_j A_k = deg_j(x) - A_j by rows and
-    sum_i A_i A_k = deg_k(y) - A_k by columns, and the products with L follow
+    sum_j A_j A_L = deg_L(y) - A_L by columns, and the products with L follow
     in exact integer arithmetic:
 
-    - A_j A_L = deg_j(x) - A_j - sum_{k != L} A_j A_k, the row remainder
-      that the first atom keeps;
-    - A_L A_k = deg_k(y) - A_k - sum_{i != L} A_i A_k, the column remainder
-      that each other atom keeps (A_k A_L is its transpose);
-    - A_L A_L = deg_L(x) - A_L - sum_{k != L} A_L A_k.
+    - A_j A_L = deg_j(x) - A_j - sum_{k != L} A_j A_k, the remainder R_j that
+      each atom j before L keeps: A_j A_k drains into R_j, and for j < k into
+      R_k transposed (A_k A_j is its transpose);
+    - A_L A_L = deg_L(y) - A_L - sum_{j != L} R_j.
 
-    Each remainder is a uint16 matrix, from which the witness product
-    subtracts every tile of counts it computes.
+    Each remainder is a uint16 matrix, from which the witness products
+    subtract every tile of counts they compute.
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     report = VerificationReport("bruteforce", early_exit, max_recorded)
     masks = {n: coloring.atom_mask(n) for n in names}
-    first, last = (names[0], names[-1]) if names else (None, None)
-    # the first atom keeps a row remainder and every other atom before L a
-    # column remainder, so with three atoms no count is subtracted transposed.
-    # They share one array, and each is filled when counts are first subtracted
-    # from it: the pages of one that an early exit never reaches stay unwritten.
-    remainders = dict(zip(names[:-1], np.empty((len(names[:-1]),) + coloring.colors.shape,
-                                               dtype=np.uint16)))
+    last = names[-1] if names else None
+    # The remainders share one array; each is filled on its first drain, so the
+    # pages of one that an early exit never reaches stay unwritten.
+    stack = np.empty((len(names[:-1]),) + coloring.colors.shape, dtype=np.uint16)
+    remainders = dict(zip(names[:-1], stack))
     filled = set()
 
     empty = [name for name in names if not masks[name].any()]
@@ -457,55 +458,53 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
             yield f"({x},{z},{y})"
 
-    def subtract(drains, rows: slice, cols: slice, counts: np.ndarray) -> None:
-        for name, transposed in drains:
-            rest = remainders[name]
-            if name not in filled:
-                filled.add(name)
-                _remainder(masks[name], by_rows=name == first, out=rest)
-            target = rest[cols, rows].T if transposed else rest[rows, cols]
-            np.subtract(target, counts, out=target, casting="unsafe")
+    def remainder(name: str) -> np.ndarray:
+        rest = remainders[name]
+        if name not in filled:
+            filled.add(name)
+            np.subtract(_degrees(masks[name])[:, None], masks[name], out=rest)
+        return rest
+
+    def subtract(j: str, k: str, rows: slice, cols: slice, counts: np.ndarray) -> None:
+        """Drain the counts of A_j A_k at (rows, cols) into R_j, and into R_k transposed."""
+        target = remainder(j)[rows, cols]
+        np.subtract(target, counts, out=target, casting="unsafe")
+        if k != j:
+            _subtract_transposed(remainder(k)[cols, rows], counts)
 
     def product(j: str, k: str):
-        """The witness reach of (j, k), its drains, and its counts if still to subtract.
+        """The witness reach of (j, k), and its counts if still to subtract.
 
-        A_j A_k counts toward k's column remainder, and toward j's row
-        remainder (j first) or, transposed, its column remainder.  A product
-        of several tiles is subtracted tile by tile; A_j A_j is symmetric, so
-        only its upper tiles are multiplied.  A product of one tile is
-        returned whole and subtracted only once the pair is checked, so a
-        pair that ends an early-exit walk costs no upkeep.
+        A product of several tiles is subtracted tile by tile; A_j A_j is
+        symmetric, so only its upper tiles are multiplied.  A product of one
+        tile is returned whole and subtracted only once the pair is checked,
+        so a pair that ends an early-exit walk costs no upkeep.
         """
-        drains = [(k, False)] if k != first else []
-        if j == first or j != k:
-            drains.append((j, j != first))
         reach = np.empty_like(masks[j])
         for rows, cols, counts in _witness_tiles(masks[j], masks[k], j == k):
             np.greater(counts, 0, out=reach[rows, cols])
             if counts.size == reach.size:
-                return reach, drains, counts
-            subtract(drains, rows, cols, counts)
-        return reach, drains, None
+                return reach, counts
+            subtract(j, k, rows, cols, counts)
+        return reach, None
 
     for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        # reach is the pair's witness reach, or its transpose when flipped;
-        # the masks are symmetric, so (masks & reach).T is the pair's own mask.
         # The previous pair's masks are released before this pair's product.
-        flipped, pending, reach, bad = False, None, None, None
+        pending, reach, bad = None, None, None
         if k != last:
-            reach, drains, pending = product(j, k)
+            reach, pending = product(j, k)
         elif j != last:
-            reach, flipped = remainders[j] > 0, j != first
+            reach = remainders[j] > 0
         else:
-            counts = _remainder(masks[last], by_rows=True)
-            for name, rest in remainders.items():
-                if name == first:
-                    _subtract_transposed(counts, rest)
-                else:
-                    counts -= rest
-            reach = counts > 0
+            # (L, L) is the last pair, so its counts are summed into a remainder
+            # in place; uint16 wraps around, and the sum ends between 0 and N
+            counts = stack[0] if len(stack) else np.zeros_like(masks[last], dtype=np.uint16)
+            for rest in stack[1:]:
+                counts += rest
+            counts += masks[last]
+            reach = np.subtract(_degrees(masks[last]), counts, out=counts) > 0
         actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
         has_zero = bool(np.diagonal(reach).any())
         before = report.violation_count
@@ -516,8 +515,6 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
                 kind, bad = MISSING_WITNESS, masks[i] > reach
             else:
                 kind, bad = FORBIDDEN_REALIZED, masks[i] & reach
-            if flipped:
-                bad = bad.T
             wheres = (triangle_labels(bad, j, k) if kind == FORBIDDEN_REALIZED
                       else (f"({x},{y})" for x, y in _true_cells(bad)))
             report.record(kind, (i, j, k), wheres, int(np.count_nonzero(bad)))
@@ -527,7 +524,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
         report.pair_checks.append(PairCheck(j, k, profile_names, include_zero, actual_atoms,
                                             has_zero, report.violation_count == before))
         if pending is not None and not report.stopped:
-            subtract(drains, slice(None), slice(None), pending)
+            subtract(j, k, slice(None), slice(None), pending)
     return report
 
 

@@ -365,6 +365,17 @@ def test_search_gf2_negative_time_budget_exits_2(capsys):
     assert "time budget" in err
 
 
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
+    def broken(config):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(cli, "search", broken)
+    code, out, err = run_cli(capsys, "search-gf2", "--k", "7", "--seed", "1")
+    assert code == EXIT_ERROR and not out
+    assert err.startswith("error:") and "invariant broken" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -22,7 +22,7 @@ import relrep.groups
 import relrep.verify
 from relrep.algebra import IDENTITY
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           MemoryGuardError, PairCheck, VerificationReport, _remainder,
+                           MemoryGuardError, PairCheck, VerificationReport, _degrees,
                            _subtract_transposed, _true_cells, _witness_reach,
                            check_coloring_memory)
 
@@ -428,29 +428,39 @@ def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
     # operand would add 4
     assert _traced_peak(lambda: _witness_reach(a, b)) < 2 * n * n
     assert _traced_peak(lambda: _witness_reach(a, a, symmetric=True)) < 2 * n * n
-    # three bool masks, two uint16 remainders, the last atom's remainder and a
-    # pair's bool reach, violation mask and one temporary are 12 B/cell; the
-    # float32 copies of two atoms would add 8
+    # three bool masks, two uint16 remainders (the last pair's counts are summed
+    # into one of them) and a pair's bool reach, violation mask and one
+    # temporary are 10 B/cell; a fresh uint16 array for the last pair would add
+    # 2, and the float32 copies of two atoms 8
     peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), coloring, early_exit=False))
-    assert peak < 14 * n * n
+    assert peak < 12 * n * n
 
 
 def test_remainder_refuses_counts_uint16_cannot_hold():
     points = 1 << 16
     mask = np.broadcast_to(np.False_, (points, points))  # a zero-stride view: nothing allocated
     with pytest.raises(ValueError, match="uint16"):
-        _remainder(mask, by_rows=True)
+        _degrees(mask)
 
 
-@pytest.mark.parametrize("size,tile", [(1, 256), (7, 3), (300, 256), (512, 256)])
+@pytest.mark.parametrize("size,tile", [
+    (1, 256), (7, 3), (300, 256), (512, 256),
+    # rectangular blocks with a ragged last tile
+    pytest.param((7, 11), 3, id="7x11-3"),
+    pytest.param((300, 40), 256, id="300x40-256"),
+    pytest.param((40, 300), 64, id="40x300-64"),
+])
 def test_subtract_transposed_matches_a_whole_transpose(size, tile, monkeypatch):
     monkeypatch.setattr(relrep.verify, "_TRANSPOSE_TILE", tile)
-    rng = np.random.default_rng(size)
-    target = rng.integers(1000, 2000, (size, size), dtype=np.uint16)
-    source = rng.integers(0, 1000, (size, size), dtype=np.uint16)
-    expected = target - source.T
-    _subtract_transposed(target, source)
-    assert np.array_equal(target, expected)
+    shape = size if isinstance(size, tuple) else (size, size)
+    rng = np.random.default_rng(shape)
+    for dtype in (np.uint16, np.float32):  # float32: the counts of a witness product
+        target = rng.integers(1000, 2000, shape, dtype=np.uint16)
+        source = rng.integers(0, 1000, shape[::-1], dtype=np.uint16)
+        expected = target - source.T
+        _subtract_transposed(target, source.astype(dtype))
+        assert target.dtype == np.uint16
+        assert np.array_equal(target, expected)
 
 
 def _pairwise_bruteforce(spec, coloring, early_exit, max_recorded):
@@ -536,16 +546,29 @@ def test_true_cells_follow_row_major_order(density):
 # -- oracle equivalence and symmetry ---------------------------------------------------
 
 
+def _assert_verifiers_agree(part: ColoredPartition) -> None:
+    """Both verifiers give the same verdict and the same check of every pair."""
+    col = cayley_coloring(part)
+    for spec in (builtin_52_65(), builtin_59_65()):
+        sums, brute = verify_sumsets(spec, part), verify_bruteforce(spec, col)
+        assert sums.accepted == brute.accepted
+        assert ([(p.ok, p.actual_atoms, p.actual_has_zero) for p in sums.pair_checks]
+                == [(p.ok, p.actual_atoms, p.actual_has_zero) for p in brute.pair_checks])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_verifiers_agree_on_random_partitions(seed):
     rng = np.random.default_rng(seed)
-    specs = (builtin_52_65(), builtin_59_65())
     for group in (GroupSpec.cyclic(7), GroupSpec.cyclic(12), GroupSpec.power(2, 4)):
-        part = random_symmetric_partition(group, ("a", "b", "c"), rng)
-        col = cayley_coloring(part)
-        for spec in specs:
-            assert (verify_sumsets(spec, part).accepted
-                    == verify_bruteforce(spec, col).accepted)
+        _assert_verifiers_agree(random_symmetric_partition(group, ("a", "b", "c"), rng))
+
+
+def test_verifiers_agree_over_several_witness_tiles():
+    # N = 2048: each witness product runs over 2 x 2 tiles at the default tile size
+    group = GroupSpec.power(2, 11)
+    assert relrep.verify._WITNESS_TILE_CELLS // group.order < group.order
+    _assert_verifiers_agree(
+        random_symmetric_partition(group, ("a", "b", "c"), np.random.default_rng(0)))
 
 
 def test_verdict_invariant_under_coordinate_permutation():
