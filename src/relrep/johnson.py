@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import IDENTITY, builtin_52_65
-from .verify import EdgeColoring, VerificationReport, check_coloring_memory, verify_bruteforce
+from .verify import (EdgeColoring, VerificationReport, _row_blocks, check_coloring_memory,
+                     verify_bruteforce)
 
 ATOM_SAME_CLASS = "b"
 ATOM_BIG_MEET = "a"
@@ -196,17 +197,22 @@ def partition_count(universe_size: int) -> int:
 
 
 def partition_coloring(u: JohnsonUniverse, part: EquitablePartition) -> EdgeColoring:
-    """The edge coloring induced by classify over all point pairs."""
+    """The edge coloring induced by classify over all point pairs.
+
+    Built by row blocks: a block's meet sizes are the popcounts of its points'
+    bitmasks ANDed with every point's, so beside the int8 codes only
+    temporaries of one row block are held.
+    """
     names = (IDENTITY, ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET)
     check_coloring_memory(u.size, len(names) - 1)
     if part.assignment.size != u.size:
         raise ValueError("partition does not match universe size")
-    masks = u.point_bitmasks
-    meets = np.bitwise_count(masks[:, None] & masks[None, :])
+    masks, classes = u.point_bitmasks, part.assignment
     codes = np.full((u.size, u.size), names.index(ATOM_SMALL_MEET), dtype=np.int8)
-    codes[meets >= 2] = names.index(ATOM_BIG_MEET)
-    same = part.assignment[:, None] == part.assignment[None, :]
-    codes[same] = names.index(ATOM_SAME_CLASS)
+    for rows in _row_blocks(u.size):
+        block = codes[rows]
+        block[np.bitwise_count(masks[rows, None] & masks) >= 2] = names.index(ATOM_BIG_MEET)
+        block[classes[rows, None] == classes] = names.index(ATOM_SAME_CLASS)
     np.fill_diagonal(codes, 0)
     return EdgeColoring(names, codes)
 
@@ -255,6 +261,8 @@ def mc_trial(n: int, trials: int, seed: int) -> McReport:
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     u = JohnsonUniverse(n)
     if u.size % 3 != 0:
         raise ValueError(f"universe size {u.size} is not divisible by 3")

@@ -10,6 +10,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -26,10 +27,10 @@ EMPTY_ATOM = "empty_atom"
 DEFAULT_VIOLATION_CAP = 100
 
 # The one limit on N^2 work.  Building and brute-force verifying an N-point,
-# A-atom coloring peaks near N^2 (3 A + 10) bytes, fitted to measured peak RSS:
-# a bool mask per atom, a uint16 remainder per atom but the last, the colors,
-# the bool reach and violation masks of one atom pair, and the float32 tiles
-# of one witness product.
+# A-atom coloring peaks near N^2 (2 A + 4) bytes, fitted to measured peak RSS:
+# the colors, a uint16 remainder per atom but the last and one bool reach,
+# plus the fixed-size tiles of the witness products and the row blocks of
+# the checks.
 MEMORY_BUDGET = 4 << 30
 
 # float32 holds every integer below 2^24 exactly and a witness count is at most
@@ -52,9 +53,11 @@ _WITNESS_TILE_CELLS = 1 << 21
 # tiles 13 ms; at N = 1024 both took about 2 ms (2 cores).
 _TRANSPOSE_TILE = 256
 
-# Cells of one row block of a Cayley coloring's differences: 2^18 int64 cells
-# (2 MiB) keep the build's peak near the int16 colors themselves.
-_DIFFERENCE_BLOCK_CELLS = 1 << 18
+# Cells of one row block of every N^2 pass that is not a witness product: the
+# differences of a Cayley coloring (2^18 int64 cells, 2 MiB), the meets of a
+# Johnson coloring and the checks of verify_bruteforce.  Their temporaries stay
+# this small, so a build peaks near the colors themselves.
+_ROW_BLOCK_CELLS = 1 << 18
 
 
 class StructuralError(ValueError):
@@ -67,7 +70,7 @@ class MemoryGuardError(ValueError):
 
 def check_coloring_memory(points: int, atoms: int) -> None:
     """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
-    need = points * points * (3 * atoms + 10)
+    need = points * points * (2 * atoms + 4)
     if need > MEMORY_BUDGET:
         raise MemoryGuardError(
             f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
@@ -148,7 +151,7 @@ class VerificationReport:
         if cycle is not None:
             key = ",".join(cycle)
             self.counts_by_cycle[key] = self.counts_by_cycle.get(key, 0) + total
-        room = self.max_recorded - len(self.violations)
+        room = min(self.max_recorded - len(self.violations), total)
         self.violations.extend(Violation(kind, cycle, where)
                                for where in islice(wheres, max(room, 0)))
         self.stopped = self.early_exit
@@ -240,9 +243,14 @@ class EdgeColoring:
             raise StructuralError(f"color codes must be integers, got dtype {c.dtype}")
         if c.min() < 0 or c.max() >= len(self.atom_names):
             raise StructuralError("color codes out of range")
-        if not np.array_equal(c, c.T):
-            x, y = np.argwhere(c != c.T)[0]
-            raise StructuralError(f"coloring is not symmetric at pair ({x}, {y})")
+        # upper tiles against their mirrors; a failing tile's row of tiles holds the
+        # first asymmetric pair in row-major order, so only that row is searched
+        t = _TRANSPOSE_TILE
+        for i in range(0, c.shape[0], t):
+            for j in range(i, c.shape[0], t):
+                if not np.array_equal(c[i:i + t, j:j + t], c[j:j + t, i:i + t].T):
+                    x, y = np.argwhere(c[i:i + t] != c[:, i:i + t].T)[0]
+                    raise StructuralError(f"coloring is not symmetric at pair ({i + x}, {y})")
         diag = np.diagonal(c)
         if (diag != 0).any():
             x = int(np.flatnonzero(diag != 0)[0])
@@ -253,64 +261,93 @@ class EdgeColoring:
             x, y = zeros[zeros[:, 0] != zeros[:, 1]][0]
             raise StructuralError(f"off-diagonal pair ({x}, {y}) is identity-colored")
 
-    def atom_mask(self, name: str) -> np.ndarray:
+    def atom_code(self, name: str) -> int:
         try:
-            code = self.atom_names.index(name)
+            return self.atom_names.index(name)
         except ValueError:
             raise StructuralError(f"coloring has no atom {name!r}") from None
-        return self.colors == code
+
+    def atom_mask(self, name: str) -> np.ndarray:
+        return self.colors == self.atom_code(name)
 
 
-def _witness_tiles(a: np.ndarray, b: np.ndarray, symmetric: bool):
-    """Yield (rows, cols, counts) for each square tile of the float32 product a @ b.
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of every N^2 row pass over n x n matrices: _ROW_BLOCK_CELLS each."""
+    step = max(1, _ROW_BLOCK_CELLS // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
-    ``a`` and ``b`` are 0/1 bool matrices; each operand tile is converted to
-    float32 just before its product, so no float array beyond one tile is held.
-    Every tile is computed into one buffer, so a tile's counts are valid until
-    the next tile is drawn.  With ``symmetric`` (b is a, and a is a symmetric
-    matrix) the product is symmetric: only the tiles on or above the diagonal
-    are multiplied, and each off-diagonal one is yielded again, transposed,
-    as its mirror.
+
+def _tile_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 left and right operand tiles and the counts of an n-point product."""
+    side = min(n, max(1, _WITNESS_TILE_CELLS // n))
+    return (np.empty((side, n), dtype=np.float32), np.empty((side, n), dtype=np.float32),
+            np.empty((side, side), dtype=np.float32))
+
+
+def _witness_tiles(left, right, n: int, symmetric: bool, buffers=None):
+    """Yield (rows, cols, counts) for each square tile of the float32 product A @ B.
+
+    A and B are n x n 0/1 matrices given by readers: ``left(rows, out)``
+    writes the rows ``rows`` of A into the float32 array ``out``, and
+    ``right(cols, out)`` the columns ``cols`` of B as rows, so a symmetric B
+    is read by its rows.  The operand tiles and the counts are the arrays of
+    ``buffers`` (from ``_tile_buffers``, made here if not given), so a tile's
+    counts are valid until the next tile is drawn.  With ``symmetric`` (B is
+    A, and A is symmetric) the product is symmetric: only the tiles on or
+    above the diagonal are multiplied, and each off-diagonal one is yielded
+    again, transposed, as its mirror.
     """
-    if a.shape[1] >= _FLOAT32_EXACT_POINTS:
+    if n >= _FLOAT32_EXACT_POINTS:
         raise ValueError(
-            f"witness product over {a.shape[1]} points: float32 counts are exact "
+            f"witness product over {n} points: float32 counts are exact "
             f"only below {_FLOAT32_EXACT_POINTS} points")
-    side = max(1, _WITNESS_TILE_CELLS // a.shape[1])
-    buffer = np.empty((min(side, a.shape[0]), min(side, b.shape[1])), dtype=np.float32)
-    for r in range(0, a.shape[0], side):
-        rows = slice(r, r + side)
-        left = a[rows].astype(np.float32)
-        for c in range(r if symmetric else 0, b.shape[1], side):
-            cols = slice(c, c + side)
-            counts = buffer[:len(left), :min(side, b.shape[1] - c)]
-            np.matmul(left, left.T if symmetric and c == r else b[:, cols].astype(np.float32),
-                      out=counts)
+    a, b, out = _tile_buffers(n) if buffers is None else buffers
+    side = len(a)
+    for r in range(0, n, side):
+        rows = slice(r, min(r + side, n))
+        m = rows.stop - r
+        left(rows, a[:m])
+        for c in range(r if symmetric else 0, n, side):
+            cols = slice(c, min(c + side, n))
+            w = cols.stop - c
+            if symmetric and c == r:
+                operand = a[:m]
+            else:
+                operand = b[:w]
+                right(cols, operand)
+            counts = out[:m, :w]
+            np.matmul(a[:m], operand.T, out=counts)
             yield rows, cols, counts
             if symmetric and c != r:
                 yield cols, rows, counts.T
 
 
 def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """Boolean product of bool matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
-    reach = np.empty((a.shape[0], b.shape[1]), dtype=bool)
-    for rows, cols, counts in _witness_tiles(a, b, symmetric):
+    """Boolean product of square bool matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
+    reach = np.empty(a.shape, dtype=bool)
+    for rows, cols, counts in _witness_tiles(lambda rows, out: np.copyto(out, a[rows]),
+                                             lambda cols, out: np.copyto(out, b[:, cols].T),
+                                             len(a), symmetric):
         np.greater(counts, 0, out=reach[rows, cols])
     return reach
 
 
-def _degrees(mask: np.ndarray) -> np.ndarray:
-    """The row sums of a symmetric 0/1 mask (its points' degrees), as uint16.
+def _degrees(colors: np.ndarray, codes: Sequence[int]) -> np.ndarray:
+    """Each code's row counts in a symmetric coloring (its points' degrees), as uint16 rows.
 
     ``verify_bruteforce`` subtracts witness counts from degrees down to a count
     of its own, so every remainder lies between 0 and a degree, which is below
     the number of points.
     """
-    if mask.shape[0] >= _UINT16_EXACT_POINTS:
+    if len(colors) >= _UINT16_EXACT_POINTS:
         raise ValueError(
-            f"remainder over {mask.shape[0]} points: uint16 counts are exact "
+            f"remainder over {len(colors)} points: uint16 counts are exact "
             f"only below {_UINT16_EXACT_POINTS} points")
-    return mask.sum(axis=1, dtype=np.uint16)
+    degrees = np.empty((len(codes), len(colors)), dtype=np.uint16)
+    for rows in _row_blocks(len(colors)):
+        for row, code in zip(degrees, codes):
+            np.equal(colors[rows], code).sum(axis=1, dtype=np.uint16, out=row[rows])
+    return degrees
 
 
 def _subtract_transposed(target: np.ndarray, source: np.ndarray) -> None:
@@ -342,10 +379,8 @@ def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
     for code, name in enumerate(names[1:], start=1):
         code_of[part.assignment[name].mask] = code
     colors = np.empty((group.order, group.order), dtype=np.int16)
-    step = max(1, _DIFFERENCE_BLOCK_CELLS // group.order)
-    for start in range(0, group.order, step):
-        stop = min(start + step, group.order)
-        np.take(code_of, group.difference_rows(start, stop), out=colors[start:stop])
+    for rows in _row_blocks(group.order):
+        np.take(code_of, group.difference_rows(rows.start, rows.stop), out=colors[rows])
     return EdgeColoring(names, colors)
 
 
@@ -436,33 +471,70 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
       R_k transposed (A_k A_j is its transpose);
     - A_L A_L = deg_L(y) - A_L - sum_{j != L} R_j.
 
-    Each remainder is a uint16 matrix, from which the witness products
-    subtract every tile of counts they compute.
+    No 0/1 matrix of an atom is held: every pass reads atom i as
+    ``colors == code_i``, a product by its float32 operand tiles and every
+    other pass by row blocks.  A call holds the uint16 remainders, one bool
+    reach that every pair reuses, and buffers of fixed size.  A pair is
+    checked by counts: hits_i, the reached edges of atom i, makes a MISSING
+    total |A_i| - hits_i and a FORBIDDEN total hits_i, and the violating
+    edges are found again, block by block, only while the report has room.
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     report = VerificationReport("bruteforce", early_exit, max_recorded)
-    masks = {n: coloring.atom_mask(n) for n in names}
+    colors = coloring.colors
+    n = coloring.point_count
+    code = {name: coloring.atom_code(name) for name in names}
+    degrees = dict(zip(names, _degrees(colors, [code[i] for i in names])))
+    sizes = {name: int(degrees[name].sum()) for name in names}
     last = names[-1] if names else None
     # The remainders share one array; each is filled on its first drain, so the
     # pages of one that an early exit never reaches stay unwritten.
-    stack = np.empty((len(names[:-1]),) + coloring.colors.shape, dtype=np.uint16)
+    stack = np.empty((len(names[:-1]), n, n), dtype=np.uint16)
     remainders = dict(zip(names[:-1], stack))
     filled = set()
+    reach = np.empty((n, n), dtype=bool)
+    blocks = _row_blocks(n)
+    # One row block of one atom, shared: each generator of violating edges that
+    # reads it is drained by report.record before it is written again.
+    flags = np.empty((blocks[0].stop, n), dtype=bool)
+    tiles = _tile_buffers(n)
 
-    empty = [name for name in names if not masks[name].any()]
+    empty = [name for name in names if sizes[name] == 0]
     report.record(EMPTY_ATOM, None, empty, len(empty))
 
-    def triangle_labels(bad: np.ndarray, j: str, k: str):
-        for x, y in _true_cells(bad):
-            z = int(np.flatnonzero(masks[j][x] & masks[k][:, y])[0])
+    def atom_rows(name: str, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The atom's 0/1 matrix at rows, written into out (the shared row block if None)."""
+        out = flags[:rows.stop - rows.start] if out is None else out
+        return np.equal(colors[rows], code[name], out=out)
+
+    def edges_in(name: str, rows: slice, reached: bool) -> np.ndarray:
+        """The edges of the atom in rows that the reach holds (or, if not reached, misses)."""
+        hit = atom_rows(name, rows)
+        return (np.logical_and if reached else np.greater)(hit, reach[rows], out=hit)
+
+    def edges(name: str, reached: bool):
+        """(x, y) of each such edge in all rows, lazily, in row-major order."""
+        for rows in blocks:
+            for x, y in _true_cells(edges_in(name, rows, reached)):
+                yield rows.start + x, y
+
+    def triangle_labels(cells, j: str, k: str):
+        """Label each cell (x, y) with its first witness z: colors[x, z] is j and
+        colors[z, y], read as colors[y, z] in a symmetric coloring, is k."""
+        last_x = None
+        for x, y in cells:
+            if x != last_x:  # the cells come row by row
+                last_x, from_x = x, colors[x] == code[j]
+            z = int(((colors[y] == code[k]) & from_x).argmax())
             yield f"({x},{z},{y})"
 
     def remainder(name: str) -> np.ndarray:
         rest = remainders[name]
         if name not in filled:
             filled.add(name)
-            np.subtract(_degrees(masks[name])[:, None], masks[name], out=rest)
+            for rows in blocks:
+                np.subtract(degrees[name][rows, None], atom_rows(name, rows), out=rest[rows])
         return rest
 
     def subtract(j: str, k: str, rows: slice, cols: slice, counts: np.ndarray) -> None:
@@ -473,51 +545,62 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             _subtract_transposed(remainder(k)[cols, rows], counts)
 
     def product(j: str, k: str):
-        """The witness reach of (j, k), and its counts if still to subtract.
+        """Write the witness reach of (j, k); return its counts if still to subtract.
 
         A product of several tiles is subtracted tile by tile; A_j A_j is
         symmetric, so only its upper tiles are multiplied.  A product of one
         tile is returned whole and subtracted only once the pair is checked,
         so a pair that ends an early-exit walk costs no upkeep.
         """
-        reach = np.empty_like(masks[j])
-        for rows, cols, counts in _witness_tiles(masks[j], masks[k], j == k):
+        for rows, cols, counts in _witness_tiles(partial(atom_rows, j), partial(atom_rows, k), n,
+                                                 j == k, tiles):
             np.greater(counts, 0, out=reach[rows, cols])
             if counts.size == reach.size:
-                return reach, counts
+                return counts
             subtract(j, k, rows, cols, counts)
-        return reach, None
+        return None
+
+    def last_pair() -> None:
+        """Write the reach of (L, L), summing its counts into a remainder in place.
+
+        (L, L) is the last pair, so no remainder is read after it.  Every
+        remainder is exact by then, so each sum lies between 0 and deg_L(y).
+        """
+        for rows in blocks:
+            counts = (stack[0, rows] if len(stack)
+                      else np.zeros((rows.stop - rows.start, n), dtype=np.uint16))
+            for rest in stack[1:]:
+                counts += rest[rows]
+            counts += atom_rows(last, rows)
+            np.subtract(degrees[last], counts, out=counts)
+            np.greater(counts, 0, out=reach[rows])
 
     for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        # The previous pair's masks are released before this pair's product.
-        pending, reach, bad = None, None, None
+        pending = None
         if k != last:
-            reach, pending = product(j, k)
+            pending = product(j, k)
         elif j != last:
-            reach = remainders[j] > 0
+            np.greater(remainders[j], 0, out=reach)
         else:
-            # (L, L) is the last pair, so its counts are summed into a remainder
-            # in place; uint16 wraps around, and the sum ends between 0 and N
-            counts = stack[0] if len(stack) else np.zeros_like(masks[last], dtype=np.uint16)
-            for rest in stack[1:]:
-                counts += rest
-            counts += masks[last]
-            reach = np.subtract(_degrees(masks[last]), counts, out=counts) > 0
-        actual_atoms = tuple(n for n in names if (masks[n] & reach).any())
+            last_pair()
+        hits = dict.fromkeys(names, 0)
+        for rows in blocks:
+            for i in names:
+                hits[i] += int(np.count_nonzero(edges_in(i, rows, True)))
+        actual_atoms = tuple(i for i in names if hits[i])
         has_zero = bool(np.diagonal(reach).any())
         before = report.violation_count
         for i in names:
             if report.stopped:
                 break
             if i in profile_names:
-                kind, bad = MISSING_WITNESS, masks[i] > reach
+                report.record(MISSING_WITNESS, (i, j, k),
+                              (f"({x},{y})" for x, y in edges(i, False)), sizes[i] - hits[i])
             else:
-                kind, bad = FORBIDDEN_REALIZED, masks[i] & reach
-            wheres = (triangle_labels(bad, j, k) if kind == FORBIDDEN_REALIZED
-                      else (f"({x},{y})" for x, y in _true_cells(bad)))
-            report.record(kind, (i, j, k), wheres, int(np.count_nonzero(bad)))
+                report.record(FORBIDDEN_REALIZED, (i, j, k),
+                              triangle_labels(edges(i, True), j, k), hits[i])
         if include_zero and not has_zero:
             # only possible when S_j is empty; mirror the sumset verifier
             report.record(MISSING_WITNESS, (IDENTITY, j, k), ["(diagonal)"], 1)
@@ -546,21 +629,36 @@ class EquivalenceResult:
 
 
 def equivalence_classes(coloring: EdgeColoring, atom_name: str) -> EquivalenceResult:
-    """Partition points by (atom_name or identity) if transitive, else witness."""
-    relation = coloring.atom_mask(atom_name)
-    np.fill_diagonal(relation, True)
-    bad = _witness_reach(relation, relation, symmetric=True) > relation
-    if bad.any():
-        x, y = next(_true_cells(bad))
-        z = int(np.flatnonzero(relation[x] & relation[:, y])[0])
+    """Partition points by (atom_name or identity) if transitive, else witness.
+
+    The relation is read from the colors, atom_name's code or code 0 (the
+    diagonal), through the witness product's tiles; the witness is the first
+    pair in row-major order that the relation composed with itself reaches
+    but the relation does not hold.
+    """
+    code = coloring.atom_code(atom_name)
+    colors = coloring.colors
+
+    def related(rows, out) -> np.ndarray:
+        return np.logical_or(colors[rows] == code, colors[rows] == 0, out=out)
+
+    first = None
+    for rows, cols, counts in _witness_tiles(related, related, coloring.point_count, True):
+        tile = colors[rows, cols]
+        bad = next(_true_cells((counts > 0) & (tile != code) & (tile != 0)), None)
+        if bad is not None:
+            cell = (rows.start + bad[0], cols.start + bad[1])
+            first = cell if first is None else min(first, cell)
+    if first is not None:
+        x, y = first
+        z = int(np.flatnonzero(related(x, None) & related(y, None))[0])
         return EquivalenceResult(None, (x, z, y))
-    n = coloring.point_count
-    seen = np.zeros(n, dtype=bool)
+    seen = np.zeros(coloring.point_count, dtype=bool)
     classes = []
-    for x in range(n):
+    for x in range(coloring.point_count):
         if seen[x]:
             continue
-        members = np.flatnonzero(relation[x])
+        members = np.flatnonzero(related(x, None))
         seen[members] = True
         classes.append(tuple(int(m) for m in members))
     return EquivalenceResult(tuple(classes), None)

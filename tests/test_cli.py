@@ -319,6 +319,13 @@ def test_johnson_mc_rejects_n4(capsys):
     assert "divisible" in err
 
 
+def test_johnson_mc_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "johnson-mc", "--n", "5", "--trials", "1",
+                             "--seed", "-1")
+    assert code == EXIT_ERROR and not out
+    assert "seed must be non-negative" in err
+
+
 def test_johnson_mc_memory_guard_exits_2(capsys):
     code, out, err = run_cli(capsys, "johnson-mc", "--n", "8", "--trials", "1",
                              "--seed", "0")

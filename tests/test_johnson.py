@@ -8,10 +8,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import relrep.verify
 from relrep import (EquitablePartition, JohnsonUniverse, acc_witness_family,
                     classify, mc_trial, minimal_sufficient_n, partition_coloring,
                     partition_count, probability_bound,
                     random_equitable_partition)
+from relrep.johnson import ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET
 
 
 # -- universe indexing -------------------------------------------------------
@@ -259,6 +261,27 @@ def test_mc_trial_guards():
     with pytest.raises(ValueError, match="guard"):
         mc_trial(8, 1, seed=0)  # C(20,8) = 125970 points
     assert mc_trial(5, 0, seed=0).records == ()
+
+
+def _one_shot_codes(u, part, names):
+    """The coloring's codes from whole N x N meet and class matrices: the
+    oracle of the row-blocked build."""
+    masks = u.point_bitmasks
+    meets = np.bitwise_count(masks[:, None] & masks[None, :])
+    codes = np.full((u.size, u.size), names.index(ATOM_SMALL_MEET), dtype=np.int8)
+    codes[meets >= 2] = names.index(ATOM_BIG_MEET)
+    codes[part.assignment[:, None] == part.assignment[None, :]] = names.index(ATOM_SAME_CLASS)
+    np.fill_diagonal(codes, 0)
+    return codes
+
+
+@pytest.mark.parametrize("rows", [1, 100, 462])  # 100: a ragged last block of 62 rows
+def test_partition_coloring_blocks_match_the_one_shot_formula(rows, monkeypatch):
+    u = JohnsonUniverse(5)
+    monkeypatch.setattr(relrep.verify, "_ROW_BLOCK_CELLS", rows * u.size)
+    part = random_equitable_partition(u, 11)
+    col = partition_coloring(u, part)
+    assert np.array_equal(col.colors, _one_shot_codes(u, part, col.atom_names))
 
 
 def test_partition_coloring_matches_scalar_classify():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import PAIR_GROUPS, random_symmetric_partition
@@ -23,7 +23,7 @@ import relrep.verify
 from relrep.algebra import IDENTITY
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
                            MemoryGuardError, PairCheck, VerificationReport, _degrees,
-                           _subtract_transposed, _true_cells, _witness_reach,
+                           _subtract_transposed, _true_cells, _witness_reach, _witness_tiles,
                            check_coloring_memory)
 
 
@@ -219,7 +219,7 @@ def test_cayley_coloring_single_atom():
 @pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])
 def test_cayley_coloring_matches_scalar_differences(moduli, monkeypatch):
     # rows of 3 cells per block: the coloring is built from many row blocks, the last ragged
-    monkeypatch.setattr(relrep.verify, "_DIFFERENCE_BLOCK_CELLS", 3 * math.prod(moduli))
+    monkeypatch.setattr(relrep.verify, "_ROW_BLOCK_CELLS", 3 * math.prod(moduli))
     g = GroupSpec(moduli)
     part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(5))
     col = cayley_coloring(part)
@@ -269,9 +269,9 @@ def test_edge_coloring_rejects_non_integer_codes():
 
 
 def test_cayley_coloring_refuses_over_budget_before_allocating():
-    g = GroupSpec.power(2, 14)
+    g = GroupSpec.power(2, 15)
     part = ColoredPartition(g, {"a": weight_class(g, 1, 4), "b": weight_class(g, 5, 9),
-                                "c": weight_class(g, 10, 14)})
+                                "c": weight_class(g, 10, 15)})
     tracemalloc.start()
     start = time.monotonic()
     try:
@@ -286,10 +286,11 @@ def test_cayley_coloring_refuses_over_budget_before_allocating():
 
 
 def test_memory_guard_admits_the_desk_scale_colorings():
-    check_coloring_memory(8192, 3)  # (Z/2)^13 Cayley coloring, about 1.3 GB
+    check_coloring_memory(16384, 3)  # (Z/2)^14 Cayley coloring, about 2.7 GB
+    check_coloring_memory(8192, 30)  # (Z/2)^13 at 30 atoms: the whole 4 GiB
     check_coloring_memory(JohnsonUniverse(6).size, 3)
     with pytest.raises(MemoryGuardError, match="bytes"):
-        check_coloring_memory(8192, 20)  # the masks and remainders scale with the atoms
+        check_coloring_memory(16384, 7)  # the remainders scale with the atoms
     with pytest.raises(MemoryGuardError, match="guard"):
         check_coloring_memory(JohnsonUniverse(8).size, 3)
 
@@ -323,6 +324,22 @@ def test_edge_coloring_names_the_first_off_diagonal_identity_pair():
     colors[1, 3] = colors[3, 1] = colors[2, 3] = colors[3, 2] = 0
     with pytest.raises(StructuralError, match=r"pair \(1, 3\) is identity-colored"):
         EdgeColoring(("1'", "a"), colors)
+
+
+@pytest.mark.parametrize("cells", [
+    [(5, 2)],
+    [(3, 5), (2, 11)],  # a failing tile left of the first pair's tile, one row lower
+    [(12, 0), (9, 10), (4, 12)],
+])
+def test_edge_coloring_names_the_first_asymmetric_pair_over_several_tiles(cells, monkeypatch):
+    monkeypatch.setattr(relrep.verify, "_TRANSPOSE_TILE", 4)  # 4 x 4 tiles of 13 points
+    colors = np.ones((13, 13), dtype=np.int8)
+    np.fill_diagonal(colors, 0)
+    for x, y in cells:
+        colors[x, y] = 2
+    x, y = np.argwhere(colors != colors.T)[0]
+    with pytest.raises(StructuralError, match=rf"not symmetric at pair \({x}, {y}\)"):
+        EdgeColoring(("1'", "a", "b"), colors)
 
 
 # -- brute-force verifier --------------------------------------------------------------
@@ -400,12 +417,10 @@ def test_witness_reach_matches_boolean_oracle(size, tile_cells, density, monkeyp
     assert np.array_equal(_witness_reach(sym, sym, symmetric=True), _boolean_product(sym, sym))
 
 
-def test_witness_reach_refuses_counts_float32_cannot_hold():
-    points = 1 << 24
-    a = np.broadcast_to(np.True_, (1, points))  # zero-stride views: nothing allocated
-    b = np.broadcast_to(np.True_, (points, 1))
+def test_witness_tiles_refuse_counts_float32_cannot_hold():
+    # refused before any operand is read or any tile allocated
     with pytest.raises(ValueError, match="float32"):
-        _witness_reach(a, b)
+        next(_witness_tiles(None, None, 1 << 24, symmetric=False))
 
 
 def _traced_peak(call) -> int:
@@ -428,19 +443,20 @@ def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
     # operand would add 4
     assert _traced_peak(lambda: _witness_reach(a, b)) < 2 * n * n
     assert _traced_peak(lambda: _witness_reach(a, a, symmetric=True)) < 2 * n * n
-    # three bool masks, two uint16 remainders (the last pair's counts are summed
-    # into one of them) and a pair's bool reach, violation mask and one
-    # temporary are 10 B/cell; a fresh uint16 array for the last pair would add
-    # 2, and the float32 copies of two atoms 8
+    # two uint16 remainders (the last pair's counts are summed into one of them)
+    # and the bool reach are 5 B/cell; at this size one row block is the whole
+    # matrix, so the checks' bool block and its temporaries add about 2, and
+    # the tiles 0.5; a bool mask per atom would add 3, and a fresh N^2
+    # temporary of a check 1 or 2
     peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), coloring, early_exit=False))
-    assert peak < 12 * n * n
+    assert peak < 8 * n * n
 
 
 def test_remainder_refuses_counts_uint16_cannot_hold():
     points = 1 << 16
-    mask = np.broadcast_to(np.False_, (points, points))  # a zero-stride view: nothing allocated
+    colors = np.broadcast_to(np.int8(0), (points, points))  # a zero-stride view: nothing allocated
     with pytest.raises(ValueError, match="uint16"):
-        _degrees(mask)
+        _degrees(colors, [1])
 
 
 @pytest.mark.parametrize("size,tile", [
@@ -523,14 +539,30 @@ def _colorings(draw):
     return RaSpec(order, cycles), EdgeColoring((IDENTITY,) + tuple(names), colors)
 
 
+def _random_coloring(n: int, seed: int) -> EdgeColoring:
+    colors = np.triu(np.random.default_rng(seed).integers(1, 4, (n, n)), 1)
+    return EdgeColoring(("1'", "a", "b", "c"), colors + colors.T)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_colorings(), tile=st.sampled_from(["cell", "ragged", "whole"]),
+       block=st.sampled_from(["cell", "ragged", "whole"]),
        early_exit=st.booleans(), max_recorded=st.sampled_from([0, 2, 100]))
-def test_bruteforce_matches_pairwise_products(case, tile, early_exit, max_recorded):
+# fixed cases with violations in every row block
+@example(case=(builtin_52_65(), _random_coloring(50, 1)), tile="ragged", block="cell",
+         early_exit=False, max_recorded=100)
+@example(case=(builtin_59_65(), _random_coloring(50, 2)), tile="whole", block="ragged",
+         early_exit=False, max_recorded=100)
+@example(case=(builtin_52_65(), _random_coloring(50, 3)), tile="cell", block="ragged",
+         early_exit=True, max_recorded=2)
+def test_bruteforce_matches_pairwise_products(case, tile, block, early_exit, max_recorded):
     spec, coloring = case
     n = coloring.point_count
-    side = {"cell": 1, "ragged": n // 2 + 1, "whole": n}[tile]  # ragged: a shorter last tile
-    with mock.patch.object(relrep.verify, "_WITNESS_TILE_CELLS", side * n):
+    # square tiles of the products and row blocks of the checks: 1 wide, a
+    # shorter last one, or the whole matrix
+    side = {"cell": 1, "ragged": n // 2 + 1, "whole": n}
+    with mock.patch.multiple(relrep.verify, _WITNESS_TILE_CELLS=side[tile] * n,
+                             _ROW_BLOCK_CELLS=side[block] * n):
         report = verify_bruteforce(spec, coloring, early_exit=early_exit,
                                    max_recorded=max_recorded)
     oracle = _pairwise_bruteforce(spec, coloring, early_exit, max_recorded)
@@ -610,6 +642,28 @@ def test_equivalence_classes_witness_on_comer_b():
     assert col.colors[x, z] == b_code or x == z
     assert col.colors[z, y] == b_code or z == y
     assert x != y and col.colors[x, y] != b_code
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equivalence_classes_match_a_dense_oracle_over_several_tiles(seed, monkeypatch):
+    monkeypatch.setattr(relrep.verify, "_WITNESS_TILE_CELLS", 5 * 37)  # 5-wide tiles, ragged
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 4, 37)
+    colors = np.where(labels[:, None] == labels, 2, 1)  # b within a class, a across
+    for x, y in rng.integers(0, 37, (seed % 3, 2)):  # b across classes breaks transitivity
+        colors[x, y] = colors[y, x] = 2
+    np.fill_diagonal(colors, 0)
+    result = equivalence_classes(EdgeColoring(("1'", "a", "b"), colors), "b")
+    relation = colors != 1  # b or the identity
+    bad = _boolean_product(relation, relation) > relation
+    if bad.any():
+        x, y = (int(v) for v in np.argwhere(bad)[0])
+        z = int(np.flatnonzero(relation[x] & relation[:, y])[0])
+        assert result.witness == (x, z, y)
+    else:
+        firsts = sorted({int(np.flatnonzero(row)[0]) for row in relation})
+        assert result.classes == tuple(tuple(int(m) for m in np.flatnonzero(relation[x]))
+                                       for x in firsts)
 
 
 def test_equivalence_classes_unknown_atom():
