@@ -16,7 +16,7 @@ from .gf2 import (BasisState, ExtensionRejected, FixtureValidation,
                   extend_basis, induced_partition, initial_state,
                   parse_bitstrings, precheck, search,
                   shipped_subgroup_bitstrings, validate_fixture)
-from .groups import (DEFAULT_ORDER_CAP, ElementSet, GroupSpec, Subgroup,
+from .groups import (ElementSet, GroupSpec, MemoryGuardError, Subgroup,
                      cyclotomic_cosets, hamming_weights, is_prime,
                      is_primitive_root, primitive_root, span, sumset,
                      sumset_reference, weight_class)
@@ -40,7 +40,7 @@ __all__ = [
     "SearchConfig", "SearchOutcome", "default_threshold", "extend_basis",
     "induced_partition", "initial_state", "parse_bitstrings", "precheck",
     "search", "shipped_subgroup_bitstrings", "validate_fixture",
-    "DEFAULT_ORDER_CAP", "ElementSet", "GroupSpec", "Subgroup",
+    "ElementSet", "GroupSpec", "MemoryGuardError", "Subgroup",
     "cyclotomic_cosets", "hamming_weights", "is_prime", "is_primitive_root",
     "primitive_root", "span", "sumset", "sumset_reference", "weight_class",
     "BoundResult", "EquitablePartition", "JohnsonUniverse", "McReport",

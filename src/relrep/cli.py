@@ -1,8 +1,8 @@
 """Single command-line entry point with deterministic, machine-readable output.
 
 Exit codes: 0 for success or an accepting verdict, 1 for a rejecting verdict,
-2 for usage, structural or internal errors, so that a broken invariant is never
-read as a verdict.  Each subcommand builds one JSON payload.
+2 for usage, structural, memory or internal errors, so that a broken invariant
+is never read as a verdict.  Each subcommand builds one JSON payload.
 ``--format json`` emits it as stable sorted-key JSON meant for CI;
 ``--format table`` (the default) prints the same payload one key per line, in
 the same key order.  Randomized subcommands echo their effective seed, and
@@ -21,7 +21,7 @@ from pathlib import Path
 from .algebra import RaSpec, builtin, parse_spec
 from .comer import build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
-from .groups import ElementSet, GroupSpec
+from .groups import ElementSet, GroupSpec, check_memory
 from .johnson import mc_trial, minimal_sufficient_n, probability_bound
 from .verify import (ColoredPartition, StructuralError, cayley_coloring,
                      verify_bruteforce, verify_sumsets)
@@ -59,6 +59,13 @@ def format_group_flag(group: GroupSpec) -> str:
     return "x".join(str(n) for n in group.moduli)
 
 
+def _read_text(path) -> str:
+    """An input file's text, charged 16 bytes per file byte before it is read: a 24 MB
+    (Z/2)^20 partition file peaked at 13 B per byte through verify_sumsets."""
+    check_memory(Path(path).stat().st_size * 16, f"parsing {path}")
+    return Path(path).read_text()
+
+
 def load_partition(path, group: GroupSpec | None = None,
                    spec: RaSpec | None = None) -> ColoredPartition:
     """Read an ``atom element`` partition file (optional ``group:`` directive).
@@ -68,7 +75,7 @@ def load_partition(path, group: GroupSpec | None = None,
     atoms the file never mentions get empty sets: faithfulness then fails at
     verification time, which is a verdict, not a structural error.
     """
-    text = Path(path).read_text()
+    text = _read_text(path)
     file_group: GroupSpec | None = None
     rows: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -126,7 +133,7 @@ def write_partition(part: ColoredPartition, path) -> None:
 def _load_spec(ref: str) -> RaSpec:
     if ref in ("52_65", "59_65"):
         return builtin(ref)
-    return parse_spec(Path(ref).read_text())
+    return parse_spec(_read_text(ref))
 
 
 _METHODS = ("sumsets", "bruteforce")
@@ -207,7 +214,7 @@ def _cmd_johnson_mc(args) -> tuple[dict, int]:
 
 
 def _cmd_search_gf2(args) -> tuple[dict, int]:
-    initial = (tuple(parse_bitstrings(Path(args.seed_fixture).read_text().splitlines(),
+    initial = (tuple(parse_bitstrings(_read_text(args.seed_fixture).splitlines(),
                                       args.k)) if args.seed_fixture else ())
     config = SearchConfig(k=args.k, t=args.t, target_order=args.target_order,
                           seed=_effective_seed(args.seed), restarts=args.restarts,
@@ -220,7 +227,7 @@ def _cmd_search_gf2(args) -> tuple[dict, int]:
 
 
 def _cmd_validate_fixture(args) -> tuple[dict, int]:
-    result = validate_fixture(Path(args.path).read_text().splitlines(), k=args.k, t=args.t)
+    result = validate_fixture(_read_text(args.path).splitlines(), k=args.k, t=args.t)
     return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
 
 
@@ -334,6 +341,7 @@ def main(argv=None) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True)  # the table renders this text
         print(text if args.format == "json" else "\n".join(_table(json.loads(text))))
     except (ValueError, OSError,  # StructuralError, SchemeError, SpecError too
+            MemoryError,  # MemoryGuardError, or an allocation the budget under-charges
             RuntimeError, AssertionError) as exc:  # broken invariants: an error, not a verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

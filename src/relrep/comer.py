@@ -86,7 +86,7 @@ def build_scheme(p: int, m: int, g: int | None = None) -> CosetScheme:
     if symmetric != (((p - 1) // m) % 2 == 0 or p == 2):
         raise AssertionError("symmetry flag inconsistent")
 
-    sums: dict[tuple[int, int], ElementSet] = {}
+    ordered = set()
     for j in range(m):
         for k in range(j, m):
             s = sumset(cosets[j], cosets[k])
@@ -96,17 +96,11 @@ def build_scheme(p: int, m: int, g: int | None = None) -> CosetScheme:
                     raise SchemeError(
                         f"sumset X_{j} + X_{k} is not coset-saturated at X_{t} "
                         f"({overlap} of {len(cosets[t])} elements)")
+                if overlap:  # saturated, so X_t lies in X_j + X_k = X_k + X_j
+                    ordered.update({(t, j, k), (t, k, j)})
             if symmetric and ((0 in s) != (j == k)):
                 raise SchemeError(
                     f"zero lies in X_{j} + X_{k} iff {j == k} expected, got {0 in s}")
-            sums[(j, k)] = s
-
-    ordered = set()
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if cosets[i] <= sums[(min(j, k), max(j, k))]:
-                    ordered.add((i, j, k))
     return CosetScheme(p, m, generator, tuple(cosets), symmetric, frozenset(ordered))
 
 

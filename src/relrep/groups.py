@@ -2,8 +2,8 @@
 
 Everything here works on exact boolean membership masks indexed by the
 mixed-radix encoding of group elements, which keeps sumsets, spans and coset
-computations both fast and bit-exact at the orders this library targets
-(cap 2^20).
+computations both fast and bit-exact.  MEMORY_BUDGET is the one limit on dense
+work: every place that decides a large allocation charges it first.
 """
 
 from __future__ import annotations
@@ -15,8 +15,28 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Not a memory limit: the int64 WHT counts of _sum_counts are exact up to here.
-DEFAULT_ORDER_CAP = 1 << 20
+# The one limit on dense work, in bytes.  Each charge is fitted to measured peak
+# RSS above the interpreter's baseline (2 cores, Python 3.11, numpy 2.4).
+MEMORY_BUDGET = 4 << 30
+
+# Per group element: masks, kept spectra, sumset temporaries and search masks.
+# verify_sumsets, validate_fixture and one search restart peaked at 77-87 B at
+# orders 2^20 and 2^22, so the budget admits (Z/2)^25 and Z/n below 4.4e7.
+_BYTES_PER_ELEMENT = 96
+
+# The int64 WHT counts of _sum_counts are exact up to this order: arithmetic, not a budget.
+_WHT_EXACT_ORDER = 1 << 31
+
+
+class MemoryGuardError(MemoryError):
+    """Work refused before allocating, because it would exceed MEMORY_BUDGET."""
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse work charged ``need`` bytes over MEMORY_BUDGET; the one resource refusal."""
+    if need > MEMORY_BUDGET:
+        raise MemoryGuardError(f"memory guard: {what} needs about {need} bytes, "
+                               f"over the {MEMORY_BUDGET}-byte budget")
 
 
 def _trial_factorize(n: int) -> dict[int, int]:
@@ -52,8 +72,7 @@ class GroupSpec:
         if any(n < 2 for n in moduli):
             raise ValueError(f"moduli must all be >= 2, got {moduli}")
         order = math.prod(moduli)
-        if order > DEFAULT_ORDER_CAP:
-            raise ValueError(f"group order {order} exceeds the dense-mask cap {DEFAULT_ORDER_CAP}")
+        check_memory(order * _BYTES_PER_ELEMENT, f"dense work over a group of order {order}")
         self.moduli = moduli
         self.order = order
         self._weights = tuple(math.prod(moduli[i + 1:]) for i in range(len(moduli)))
@@ -349,12 +368,16 @@ def _sum_counts(left: ElementSet, right: ElementSet) -> np.ndarray:
     """Exact counts c[z] = #{(x, y): x + y = z, x in left, y in right}.
 
     Multiplies the two sets' spectra (:meth:`ElementSet._spectrum`) and inverts
-    the product.  int64 WHT counts are exact up to order 2^20: transforms are
-    bounded by the order, the product by order^2 and the inverse transform by
-    order^3 < 2^63.  Up to that order the rounding error of the FFT counts is
-    far below the 1/4 checked here.
+    the product.  On (Z/2)^k of order N the int64 WHT counts are exact up to
+    N = 2^31: each forward value is at most |A| <= N, and each value inside the
+    inverse transform is at most sum_chi |A^(chi) B^(chi)| <= N sqrt(|A| |B|)
+    <= N^2 by Cauchy-Schwarz and Parseval (sum_chi A^(chi)^2 = N |A|).  Larger
+    orders are refused: the ``% order`` check cannot see an int64 wrap-around,
+    as N divides 2^64.  The FFT counts' rounding error is checked below 1/4.
     """
     group = _same_group(left, right)
+    if group.is_elementary_two and group.order > _WHT_EXACT_ORDER:
+        raise ValueError(f"int64 WHT counts are exact only up to order {_WHT_EXACT_ORDER}")
     product = left._spectrum() * right._spectrum()
     if group.is_elementary_two:
         counts = _walsh_hadamard(product)
@@ -441,12 +464,16 @@ def cyclotomic_cosets(p: int, m: int, g: int | None = None) -> list[ElementSet]:
     elif not is_primitive_root(g, p):
         raise ValueError(f"{g} is not a primitive root mod {p}")
     group = GroupSpec.cyclic(p)
+    # per element, each coset's mask and kept FFT spectrum, and one sumset's
+    # transforms: comer peaked at 188-203 B at m = 2 and 240 at m = 8 (p = 1048129),
+    # and at 615 B at m = 42 (p = 100003)
+    check_memory(p * (11 * m + 200), f"a scheme of {m} cosets mod {p}")
     masks = np.zeros((m, p), dtype=bool)
     power = 1
     for t in range(p - 1):
         masks[t % m, power] = True
         power = power * g % p
-    return [ElementSet._wrap(group, masks[i].copy()) for i in range(m)]
+    return [ElementSet._wrap(group, row) for row in masks]
 
 
 @lru_cache(maxsize=8)

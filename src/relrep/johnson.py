@@ -256,7 +256,7 @@ def mc_trial(n: int, trials: int, seed: int) -> McReport:
     or against the probabilistic construction.  Trial t uses the derived seed
     (seed, t), so trials are independent and the whole report is deterministic
     for a fixed base seed.  A universe whose coloring exceeds
-    ``verify.MEMORY_BUDGET`` (n = 6 fits, n = 8 does not) raises
+    ``groups.MEMORY_BUDGET`` (n = 6 fits, n = 8 does not) raises
     ``MemoryGuardError`` before its O(N) shuffle, 12 GB at n = 13, is drawn.
     """
     if trials < 0:

@@ -18,20 +18,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import IDENTITY, RaSpec
-from .groups import ElementSet, GroupSpec, sumset
+from .groups import ElementSet, GroupSpec, check_memory, sumset
 
 MISSING_WITNESS = "missing_witness"
 FORBIDDEN_REALIZED = "forbidden_realized"
 EMPTY_ATOM = "empty_atom"
 
 DEFAULT_VIOLATION_CAP = 100
-
-# The one limit on N^2 work.  Building and brute-force verifying an N-point,
-# A-atom coloring peaks near N^2 (2 A + 4) bytes, fitted to measured peak RSS:
-# the colors, a uint16 remainder per atom but the last and one bool reach,
-# plus the fixed-size tiles of the witness products and the row blocks of
-# the checks.
-MEMORY_BUDGET = 4 << 30
 
 # float32 holds every integer below 2^24 exactly and a witness count is at most
 # the number of points, so a float32 product of 0/1 matrices counts witnesses
@@ -64,17 +57,11 @@ class StructuralError(ValueError):
     """The candidate is malformed; distinct from a reject verdict."""
 
 
-class MemoryGuardError(ValueError):
-    """A coloring is too large to build and verify within MEMORY_BUDGET."""
-
-
 def check_coloring_memory(points: int, atoms: int) -> None:
-    """Refuse an N-point, A-atom coloring over budget, before it is allocated."""
-    need = points * points * (2 * atoms + 4)
-    if need > MEMORY_BUDGET:
-        raise MemoryGuardError(
-            f"memory guard: a {points}-point coloring with {atoms} atoms needs about "
-            f"{need} bytes to build and verify, over the {MEMORY_BUDGET}-byte budget")
+    """Charge building and brute-force verifying an N-point, A-atom coloring: N^2 (2 A + 4)
+    bytes, fitted to peak RSS (the colors, A - 1 uint16 remainders and one bool reach)."""
+    check_memory(points * points * (2 * atoms + 4),
+                 f"building and verifying a {points}-point coloring with {atoms} atoms")
 
 
 @dataclass(frozen=True)
@@ -320,16 +307,6 @@ def _witness_tiles(left, right, n: int, symmetric: bool, buffers=None):
             yield rows, cols, counts
             if symmetric and c != r:
                 yield cols, rows, counts.T
-
-
-def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """Boolean product of square bool matrices: True at (x, y) iff a[x, z] b[z, y] for some z."""
-    reach = np.empty(a.shape, dtype=bool)
-    for rows, cols, counts in _witness_tiles(lambda rows, out: np.copyto(out, a[rows]),
-                                             lambda cols, out: np.copyto(out, b[:, cols].T),
-                                             len(a), symmetric):
-        np.greater(counts, 0, out=reach[rows, cols])
-    return reach
 
 
 def _degrees(colors: np.ndarray, codes: Sequence[int]) -> np.ndarray:
@@ -621,11 +598,6 @@ class EquivalenceResult:
     @property
     def is_equivalence(self) -> bool:
         return self.witness is None
-
-    def class_sizes(self) -> list[int]:
-        if self.classes is None:
-            raise ValueError("relation is not an equivalence")
-        return [len(c) for c in self.classes]
 
 
 def equivalence_classes(coloring: EdgeColoring, atom_name: str) -> EquivalenceResult:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from relrep import ColoredPartition, ElementSet, GroupSpec
+from relrep import (ColoredPartition, ElementSet, GroupSpec, cayley_coloring,
+                    equivalence_classes, induced_partition, parse_bitstrings)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
@@ -35,3 +36,21 @@ def random_symmetric_partition(group: GroupSpec, names, rng: np.random.Generator
         return random_symmetric_partition(group, names, rng, allow_empty)
     return ColoredPartition(group, {
         n: ElementSet.from_indices(group, v) for n, v in buckets.items()})
+
+
+def fixture_classes_oracle(bitstrings, k: int, t: int):
+    """(classes_ok, class_count, class_size) of a fixture read off its Cayley coloring.
+
+    The b-classes come from ``equivalence_classes`` on the N^2 coloring of the
+    induced partition, independently of the closure check that
+    ``validate_fixture`` reads them from; the fixture's weights must lie in 1..t.
+    """
+    group = GroupSpec.power(2, k)
+    with_zero = ElementSet.from_indices(group, parse_bitstrings(bitstrings, k) + [0])
+    result = equivalence_classes(cayley_coloring(induced_partition(group, with_zero, t)), "b")
+    if not result.is_equivalence:
+        return False, None, None
+    sizes = {len(c) for c in result.classes}
+    count = len(result.classes)
+    size = sizes.pop() if len(sizes) == 1 else None
+    return size == len(with_zero) and count * len(with_zero) == group.order, count, size

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import random_symmetric_partition
+from helpers import fixture_classes_oracle, random_symmetric_partition
 from relrep import (ElementSet, GroupSpec, SearchConfig, builtin_52_65,
                     builtin_59_65, build_59_65_partition, build_scheme,
                     cayley_coloring, hamming_weights, induced_partition,
@@ -33,12 +33,14 @@ def test_criterion_1_fixture_regression():
     start = time.monotonic()
     result = validate_fixture(shipped_subgroup_bitstrings(), k=10, t=6)
     elapsed = time.monotonic() - start
+    # the cliques from the N^2 coloring, not from the closure check validate_fixture reads
+    classes_ok, class_count, class_size = fixture_classes_oracle(
+        shipped_subgroup_bitstrings(), 10, 6)
     _criterion(1, "52_65 fixture over (Z/2)^10 passes all four checks", {
         "weights in [1,6]": result.weights_ok,
         "closure with 0 to order 64": result.closure_ok and result.subgroup_order == 64,
         "verify_sumsets accepts": result.verification.accepted,
-        "16 b-clique classes of size 64":
-            result.classes_ok and result.class_count == 16 and result.class_size == 64,
+        "16 b-clique classes of size 64": classes_ok and class_count == 16 and class_size == 64,
         "runtime < 2 s": elapsed < 2.0,
     })
 

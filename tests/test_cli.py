@@ -1,6 +1,7 @@
 """Exit codes, JSON schemas, seed echoing, and reproducible CLI output."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import FIXTURES, REPO_ROOT
 from relrep import GroupSpec, StructuralError
+import relrep.groups
 from relrep import cli
 from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, format_group_flag,
                         load_partition, main, parse_group_flag, write_partition)
@@ -372,7 +374,7 @@ def test_search_gf2_negative_time_budget_exits_2(capsys):
     assert "time budget" in err
 
 
-@pytest.mark.parametrize("error", [RuntimeError, AssertionError])
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError, MemoryError])
 def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
     def broken(config):
         raise error("invariant broken")
@@ -381,6 +383,30 @@ def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "search-gf2", "--k", "7", "--seed", "1")
     assert code == EXIT_ERROR and not out
     assert err.startswith("error:") and "invariant broken" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search-gf2", "--k", "26", "--seed", "1"),  # order 2^26
+    ("comer", "--p", "1048573", "--m", "262143"),  # 256 GiB of coset masks alone
+])
+def test_work_over_the_memory_budget_exits_2(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_ERROR and not out
+    assert err.startswith("error: memory guard:")
+
+
+def test_partition_file_over_the_memory_budget_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "padded.txt"
+    path.write_text("group: z:5\n" + "# padding\n" * 1000 + "a 1\na 4\nb 2\nb 3\n")
+    code, _, _ = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
+    assert code == EXIT_REJECT  # c is empty
+    # about 10 kB of file is charged 160 kB to parse; Z/5 is charged 480 bytes
+    monkeypatch.setattr(relrep.groups, "MEMORY_BUDGET", 100_000)
+    code, out, err = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
+    assert code == EXIT_ERROR and not out
+    assert err.startswith("error: memory guard: parsing ")
 
 
 def test_usage_errors_exit_2(capsys):

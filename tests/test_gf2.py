@@ -1,11 +1,13 @@
 """Weight-class prechecks, basis growth, fixture validation, and the search."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REPO_ROOT
+from helpers import REPO_ROOT, fixture_classes_oracle
 from relrep import gf2
 from relrep.cli import EXIT_REJECT, main
 
@@ -210,6 +212,39 @@ def test_flipping_a_bit_breaks_closure_and_verification():
     assert not result.passed
 
 
+def _fixture_variants():
+    bits = shipped_subgroup_bitstrings()
+    return {"shipped": bits, "dropped": bits[:-1], "flipped": ["1110000000"] + bits[1:]}
+
+
+@pytest.mark.parametrize("name", ["shipped", "dropped", "flipped"])
+def test_fixture_classes_match_the_coloring_oracle(name):
+    bits = _fixture_variants()[name]
+    result = validate_fixture(bits)
+    fields = (result.classes_ok, result.class_count, result.class_size)
+    assert fields == fixture_classes_oracle(bits, 10, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 8), closed=st.booleans(), data=st.data())
+def test_fixture_classes_match_the_oracle_on_drawn_subsets(k, closed, data):
+    # a span is closed; a drawn set mostly is not, though one vector is
+    group = GroupSpec.power(2, k)
+    vectors = data.draw(st.lists(st.integers(1, group.order - 1), min_size=1,
+                                 max_size=k + 2, unique=True))
+    elements = [x for x in span(group, vectors).elements if x] if closed else vectors
+    top = max(int(hamming_weights(k)[x]) for x in elements)
+    t = min(k - 1, top)  # the weights pass unless the all-ones vector is drawn
+    bits = [group.format_element(x) for x in elements]
+    result = validate_fixture(bits, k, t)
+    fields = (result.classes_ok, result.class_count, result.class_size)
+    if result.weights_ok:
+        assert fields == fixture_classes_oracle(bits, k, t)
+        assert result.classes_ok == result.closure_ok
+    else:
+        assert top == k and fields == (None, None, None)
+
+
 def test_fixture_threshold_out_of_range():
     with pytest.raises(ValueError, match="1 <= t < k"):
         validate_fixture(shipped_subgroup_bitstrings(), t=0)
@@ -406,3 +441,16 @@ def test_search_gf2_json_bytes_pinned(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == EXIT_REJECT
     assert out == (PINNED / f"search_gf2_{name}.json").read_text()
+
+
+def test_validate_fixture_k16_json_bytes_pinned(capsys, tmp_path):
+    # the span of the pinned k = 16 search basis, a coordinate subspace of order
+    # 1024; its N^2 Cayley coloring would take about 43 GB
+    group = GroupSpec.power(2, 16)
+    basis = json.loads((PINNED / "search_gf2_k16_seed1.json").read_text())["basis"]
+    elements = span(group, [int(v, 2) for v in basis]).elements
+    path = tmp_path / "h_k16.txt"
+    path.write_text("".join(f"{group.format_element(x)}\n" for x in elements if x))
+    code = main(["--format", "json", "validate-fixture", str(path), "--k", "16", "--t", "10"])
+    assert code == EXIT_REJECT
+    assert capsys.readouterr().out == (PINNED / "validate_fixture_k16_t10.json").read_text()

@@ -1,6 +1,8 @@
 """Group arithmetic, dense sets, sumsets, spans, cosets, weight classes."""
 
 import math
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ import relrep.groups
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
                     is_prime, is_primitive_root, primitive_root, span, sumset,
                     sumset_reference, weight_class)
-from relrep.groups import _sum_counts, _walsh_hadamard
+from relrep.groups import MemoryGuardError, _sum_counts, _walsh_hadamard
 
 from helpers import PAIR_GROUPS
 
@@ -25,9 +27,17 @@ def test_constructor_validation():
         GroupSpec(())
     with pytest.raises(ValueError):
         GroupSpec((1, 4))
-    with pytest.raises(ValueError):
-        GroupSpec((2,) * 21)  # over the default dense cap
-    assert GroupSpec((2,) * 20).order == 1 << 20  # exactly at the cap
+    assert GroupSpec((2,) * 25).order == 1 << 25  # within the memory budget
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(MemoryGuardError, match="memory guard"):
+            GroupSpec((2,) * 26)  # refused before anything of its order is allocated
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
 
 
 def test_scalar_arithmetic_examples():
@@ -238,6 +248,31 @@ def test_a_set_keeps_its_read_only_fft_spectrum():
 def test_sumset_refuses_sets_of_different_groups():
     with pytest.raises(ValueError, match="different groups"):
         sumset(ElementSet.full(GroupSpec.cyclic(5)), ElementSet.full(GroupSpec.cyclic(7)))
+
+
+def test_sum_counts_are_exact_beyond_order_2_20():
+    g = GroupSpec.power(2, 21)
+    rng = np.random.default_rng(21)
+    left, right = (ElementSet(g, rng.random(g.order) < d) for d in (0.5, 0.9))
+    counts = _sum_counts(left, right)
+    assert counts.sum() == len(left) * len(right)
+    # x + y = z iff x lies in right + z, so each count is an overlap of two masks
+    for z in rng.integers(g.order, size=4):
+        assert counts[z] == np.count_nonzero(left.mask & right.mask[g._indices ^ z])
+    sparse = ElementSet(g, rng.random(g.order) < 0.005)
+    small = ElementSet.from_indices(g, rng.integers(g.order, size=3))
+    counts = _sum_counts(sparse, small)
+    assert counts.sum() == len(sparse) * len(small)
+    # the reference walks its right operand once per left element, so the
+    # small set goes on its left; the sumset is the same either way round
+    assert ElementSet(g, counts > 0) == sumset_reference(small, sparse)
+
+
+def test_sum_counts_refuse_orders_past_int64_exactness(monkeypatch):
+    full = ElementSet.full(GroupSpec.power(2, 4))
+    monkeypatch.setattr(relrep.groups, "_WHT_EXACT_ORDER", 8)
+    with pytest.raises(ValueError, match="exact only up to order 8"):
+        _sum_counts(full, full)
 
 
 def test_sum_counts_refuse_an_inexact_xor_convolution():

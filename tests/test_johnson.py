@@ -13,6 +13,7 @@ from relrep import (EquitablePartition, JohnsonUniverse, acc_witness_family,
                     classify, mc_trial, minimal_sufficient_n, partition_coloring,
                     partition_count, probability_bound,
                     random_equitable_partition)
+from relrep.groups import MemoryGuardError
 from relrep.johnson import ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET
 
 
@@ -258,7 +259,7 @@ def test_mc_trial_bcc_count_covers_small_meet_same_class_pairs(seed):
 def test_mc_trial_guards():
     with pytest.raises(ValueError, match="divisible"):
         mc_trial(4, 1, seed=0)
-    with pytest.raises(ValueError, match="guard"):
+    with pytest.raises(MemoryGuardError, match="guard"):
         mc_trial(8, 1, seed=0)  # C(20,8) = 125970 points
     assert mc_trial(5, 0, seed=0).records == ()
 

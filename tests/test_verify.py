@@ -21,10 +21,22 @@ from relrep import (ColoredPartition, EdgeColoring, ElementSet, GroupSpec,
 import relrep.groups
 import relrep.verify
 from relrep.algebra import IDENTITY
+from relrep.groups import MemoryGuardError
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           MemoryGuardError, PairCheck, VerificationReport, _degrees,
-                           _subtract_transposed, _true_cells, _witness_reach, _witness_tiles,
+                           PairCheck, VerificationReport, _degrees,
+                           _subtract_transposed, _true_cells, _witness_tiles,
                            check_coloring_memory)
+
+
+def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Boolean product of square bool matrices through the witness-product tiles:
+    True at (x, y) iff a[x, z] b[z, y] for some z."""
+    reach = np.empty(a.shape, dtype=bool)
+    for rows, cols, counts in _witness_tiles(lambda rows, out: np.copyto(out, a[rows]),
+                                             lambda cols, out: np.copyto(out, b[:, cols].T),
+                                             len(a), symmetric):
+        np.greater(counts, 0, out=reach[rows, cols])
+    return reach
 
 
 def _z5_partition(a=(1, 4), b=(2, 3), c=()):
