@@ -19,10 +19,11 @@ import numpy as np
 # RSS above the interpreter's baseline (2 cores, Python 3.11, numpy 2.4).
 MEMORY_BUDGET = 4 << 30
 
-# Per group element: masks, kept spectra, sumset temporaries and search masks.
-# verify_sumsets, validate_fixture and one search restart peaked at 77-87 B at
-# orders 2^20 and 2^22, so the budget admits (Z/2)^25 and Z/n below 4.4e7.
-_BYTES_PER_ELEMENT = 96
+# Per group element, by sumset transform: masks, kept spectra, temporaries.  WHT, on
+# (Z/2)^k: verify_sumsets, validate_fixture and a search restart peaked at 70-87 B at
+# orders 2^20 and 2^22.  FFT, elsewhere: verify_sumsets peaked at 91-115 B on smooth
+# orders 2^20 to 2^22 and 199-215 B with a large prime factor, which the FFT pads.
+_BYTES_PER_ELEMENT = {"wht": 96, "fft": 240}
 
 # The int64 WHT counts of _sum_counts are exact up to this order: arithmetic, not a budget.
 _WHT_EXACT_ORDER = 1 << 31
@@ -72,11 +73,12 @@ class GroupSpec:
         if any(n < 2 for n in moduli):
             raise ValueError(f"moduli must all be >= 2, got {moduli}")
         order = math.prod(moduli)
-        check_memory(order * _BYTES_PER_ELEMENT, f"dense work over a group of order {order}")
+        self._is_two_power = all(n == 2 for n in moduli)
+        check_memory(order * _BYTES_PER_ELEMENT["wht" if self._is_two_power else "fft"],
+                     f"dense work over a group of order {order}")
         self.moduli = moduli
         self.order = order
         self._weights = tuple(math.prod(moduli[i + 1:]) for i in range(len(moduli)))
-        self._is_two_power = all(n == 2 for n in moduli)
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupSpec":

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import FIXTURES, REPO_ROOT
+import peak_rss
 from relrep import GroupSpec, StructuralError
 import relrep.groups
 from relrep import cli
@@ -388,6 +389,9 @@ def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
 @pytest.mark.parametrize("argv", [
     ("search-gf2", "--k", "26", "--seed", "1"),  # order 2^26
     ("comer", "--p", "1048573", "--m", "262143"),  # 256 GiB of coset masks alone
+    # 240 B per element on the FFT path refuses Z/2e7, though (Z/2)^25 is admitted
+    ("verify-group-rep", str(FIXTURES / "z53_59_65_partition.txt"), "--spec", "59_65",
+     "--group", "z:20000000"),
 ])
 def test_work_over_the_memory_budget_exits_2(capsys, argv):
     start = time.monotonic()
@@ -402,11 +406,17 @@ def test_partition_file_over_the_memory_budget_exits_2(capsys, monkeypatch, tmp_
     path.write_text("group: z:5\n" + "# padding\n" * 1000 + "a 1\na 4\nb 2\nb 3\n")
     code, _, _ = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
     assert code == EXIT_REJECT  # c is empty
-    # about 10 kB of file is charged 160 kB to parse; Z/5 is charged 480 bytes
+    # about 10 kB of file is charged 160 kB to parse; Z/5 is charged 1200 bytes
     monkeypatch.setattr(relrep.groups, "MEMORY_BUDGET", 100_000)
     code, out, err = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
     assert code == EXIT_ERROR and not out
     assert err.startswith("error: memory guard: parsing ")
+
+
+def test_peak_rss_script_bounds_a_command(capsys):
+    assert peak_rss.run(["100000", "show-algebra", "52_65"]) == EXIT_OK
+    assert peak_rss.run(["1", "show-algebra", "52_65"]) == peak_rss.OVER_BOUND
+    assert "show-algebra 52_65: peak RSS" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

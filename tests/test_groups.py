@@ -38,6 +38,10 @@ def test_constructor_validation():
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5 and peak < 1 << 20
+    # FFT sumsets cost more per element than WHT sumsets, and are charged more
+    assert GroupSpec.cyclic(17_000_000).order == 17_000_000
+    with pytest.raises(MemoryGuardError, match="memory guard"):
+        GroupSpec.cyclic(1 << 25)
 
 
 def test_scalar_arithmetic_examples():
