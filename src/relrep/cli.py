@@ -24,7 +24,7 @@ from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
 from .groups import ElementSet, GroupSpec, check_memory
 from .johnson import mc_trial, minimal_sufficient_n, probability_bound
 from .verify import (ColoredPartition, StructuralError, cayley_coloring,
-                     verify_bruteforce, verify_sumsets)
+                     check_coloring_memory, verify_bruteforce, verify_sumsets)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -192,6 +192,7 @@ def _cmd_comer(args) -> tuple[dict, int]:
 
 
 def _cmd_build_59(args) -> tuple[dict, int]:
+    check_coloring_memory(args.p, 3)  # the brute force's charge, before any other work
     scheme = build_scheme(args.p, 8, args.g)
     part = build_59_65_partition(scheme)
     reports, accepted = _verify(builtin("59_65"), part, _METHODS, early_exit=False)

@@ -20,13 +20,13 @@ import numpy as np
 MEMORY_BUDGET = 4 << 30
 
 # Per group element, by sumset transform: masks, kept spectra, temporaries.  WHT, on
-# (Z/2)^k: verify_sumsets, validate_fixture and a search restart peaked at 70-87 B at
-# orders 2^20 and 2^22.  FFT, elsewhere: verify_sumsets peaked at 91-115 B on smooth
-# orders 2^20 to 2^22 and 199-215 B with a large prime factor, which the FFT pads.
+# (Z/2)^k: verify_sumsets at orders 2^20 and 2^22, validate_fixture and a search
+# restart at 2^22 peaked at 67-83 B.  FFT, elsewhere: verify_sumsets peaked at 91-115 B
+# on smooth orders 2^20 to 2^22 and 199-215 B with a large prime factor, which the FFT pads.
 _BYTES_PER_ELEMENT = {"wht": 96, "fft": 240}
 
-# The int64 WHT counts of _sum_counts are exact up to this order: arithmetic, not a budget.
-_WHT_EXACT_ORDER = 1 << 31
+# The float64 WHT counts of _sum_counts are exact up to this order: arithmetic, not a budget.
+_WHT_EXACT_ORDER = 1 << 26
 
 
 class MemoryGuardError(MemoryError):
@@ -313,14 +313,14 @@ class ElementSet:
     def _spectrum(self) -> np.ndarray:
         """The mask's transform for sumsets, computed on first use and kept read-only.
 
-        An integer Walsh-Hadamard transform on (Z/2Z)^k, an FFT over the cyclic
+        A float64 Walsh-Hadamard transform on (Z/2Z)^k, an FFT over the cyclic
         factors on other groups; either way a set in many sumsets is
-        transformed once.  A kept FFT spectrum takes about 8 bytes per element.
+        transformed once, and a kept spectrum takes about 8 bytes per element.
         """
         if self._transform is None:
             group = self.group
             if group.is_elementary_two:
-                spectrum = _walsh_hadamard(self.mask.astype(np.int64))
+                spectrum = _walsh_hadamard(self.mask.astype(np.float64))
             else:
                 spectrum = np.fft.rfftn(self.mask.reshape(group.moduli))
             spectrum.setflags(write=False)
@@ -334,59 +334,57 @@ def _same_group(left: ElementSet, right: ElementSet) -> GroupSpec:
     return left.group
 
 
-# The butterflies on the lowest index bits pair runs of only 1, 2, 4, ...
-# elements, so they run on a transposed copy that puts those bits outermost.
-# 5 measured fastest of 3..7 for one or three rows at k = 7 to 16.
-_WHT_LOW_BITS = 5
+@lru_cache(maxsize=None)
+def _hadamard(d: int) -> np.ndarray:
+    """The read-only float64 Sylvester-Hadamard matrix of order 2^d."""
+    h = np.ones((1, 1))
+    for _ in range(d):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
 
 
-def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
-    """Transform each row of a C-contiguous int64 array in place (unnormalised WHT, last axis)."""
-    if rows.dtype != np.int64 or not rows.flags.c_contiguous:
-        raise ValueError("the Walsh-Hadamard transform works in place on C-contiguous int64")
-    n = rows.shape[-1]
-    low = min(n, 1 << _WHT_LOW_BITS)
-    grid = rows.reshape(-1, n // low, low)  # [row, index // low, index % low]
-    half = np.empty(rows.size // 2, dtype=np.int64)
-    spread = grid.transpose(0, 2, 1).copy()  # index % low now has stride n // low
-    _butterflies(spread, half, n // low, n)
-    grid[...] = spread.transpose(0, 2, 1)
-    _butterflies(rows, half, low, n)
-    return rows
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """The unnormalised WHT of a float64 vector of length 2^k; may overwrite ``values``.
 
-
-def _butterflies(rows: np.ndarray, half: np.ndarray, h: int, stop: int) -> None:
-    """The WHT levels pairing entries h, 2h, ... (below stop) apart along each row."""
-    while h < stop:
-        pairs = rows.reshape(-1, 2, h)
-        top, bottom, diff = pairs[:, 0], pairs[:, 1], half.reshape(-1, h)
-        np.subtract(top, bottom, out=diff)
-        top += bottom
-        bottom[...] = diff
-        h *= 2
+    One matrix product per near-equal digit of at most 6 index bits applies H to the
+    lowest digit and moves it to the top of the index, so after the last digit the
+    index is in order again.  Every value, partial sums in a product included, is a
+    signed sum of inputs: the transform is exact while sum |values| <= 2^53.
+    """
+    if values.dtype != np.float64 or values.ndim != 1:
+        raise ValueError("the Walsh-Hadamard transform takes a float64 vector")
+    k = values.size.bit_length() - 1
+    digits = -(-k // 6)
+    src, dst = values, np.empty_like(values)
+    for i in range(digits):
+        d = (k + i) // digits
+        np.matmul(_hadamard(d), src.reshape(-1, 1 << d).T, out=dst.reshape(1 << d, -1))
+        src, dst = dst, src
+    return src
 
 
 def _sum_counts(left: ElementSet, right: ElementSet) -> np.ndarray:
-    """Exact counts c[z] = #{(x, y): x + y = z, x in left, y in right}.
+    """Exact counts c[z] = #{(x, y): x + y = z, x in left, y in right}, as float64.
 
     Multiplies the two sets' spectra (:meth:`ElementSet._spectrum`) and inverts
-    the product.  On (Z/2)^k of order N the int64 WHT counts are exact up to
-    N = 2^31: each forward value is at most |A| <= N, and each value inside the
-    inverse transform is at most sum_chi |A^(chi) B^(chi)| <= N sqrt(|A| |B|)
-    <= N^2 by Cauchy-Schwarz and Parseval (sum_chi A^(chi)^2 = N |A|).  Larger
-    orders are refused: the ``% order`` check cannot see an int64 wrap-around,
-    as N divides 2^64.  The FFT counts' rounding error is checked below 1/4.
+    the product.  On (Z/2)^k of order N the float64 WHT counts are exact up to
+    N = 2^26: each value inside the forward transform is at most |A| <= N, and
+    each inside the inverse at most sum_chi |A^(chi) B^(chi)| <= N sqrt(|A| |B|)
+    <= N^2 <= 2^53 by Cauchy-Schwarz and Parseval (sum_chi A^(chi)^2 = N |A|);
+    scaling by 1/N, a power of two, is exact.  FFT rounding is checked below 1/4.
     """
     group = _same_group(left, right)
-    if group.is_elementary_two and group.order > _WHT_EXACT_ORDER:
-        raise ValueError(f"int64 WHT counts are exact only up to order {_WHT_EXACT_ORDER}")
-    product = left._spectrum() * right._spectrum()
     if group.is_elementary_two:
-        counts = _walsh_hadamard(product)
-        if (counts % group.order).any():
+        if group.order > _WHT_EXACT_ORDER:
+            raise ValueError(f"float64 WHT counts are exact only up to order {_WHT_EXACT_ORDER}")
+        # the product is not kept, so its buffer is free again for the rint check
+        counts = _walsh_hadamard(left._spectrum() * right._spectrum())
+        counts *= 1 / group.order
+        if not np.array_equal(np.rint(counts), counts):
             raise AssertionError("xor convolution produced non-integer counts")
-        counts //= group.order
         return counts
+    product = left._spectrum() * right._spectrum()
     conv = np.fft.irfftn(product, s=group.moduli, axes=range(group.rank)).ravel()
     counts = np.rint(conv)
     if np.abs(conv - counts).max() > 0.25:
@@ -402,9 +400,10 @@ def sumset(left: ElementSet, right: ElementSet) -> ElementSet:
 def sumset_reference(left: ElementSet, right: ElementSet) -> ElementSet:
     """Definitional double loop; kept as the oracle the fast path is tested against."""
     group = _same_group(left, right)
+    ys = right.indices().tolist()  # read once, not once per element of left
     out = set()
     for x in left:
-        for y in right:
+        for y in ys:
             out.add(group.add(x, y))
     return ElementSet.from_indices(group, out)
 

@@ -389,6 +389,8 @@ def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
 @pytest.mark.parametrize("argv", [
     ("search-gf2", "--k", "26", "--seed", "1"),  # order 2^26
     ("comer", "--p", "1048573", "--m", "262143"),  # 256 GiB of coset masks alone
+    # the brute-force coloring's charge, taken before the scheme is built
+    ("build-59", "--p", "1048129"),
     # 240 B per element on the FFT path refuses Z/2e7, though (Z/2)^25 is admitted
     ("verify-group-rep", str(FIXTURES / "z53_59_65_partition.txt"), "--spec", "59_65",
      "--group", "z:20000000"),

@@ -267,12 +267,19 @@ def test_sum_counts_are_exact_beyond_order_2_20():
     small = ElementSet.from_indices(g, rng.integers(g.order, size=3))
     counts = _sum_counts(sparse, small)
     assert counts.sum() == len(sparse) * len(small)
-    # the reference walks its right operand once per left element, so the
-    # small set goes on its left; the sumset is the same either way round
-    assert ElementSet(g, counts > 0) == sumset_reference(small, sparse)
+    assert ElementSet(g, counts > 0) == sumset_reference(sparse, small)
 
 
-def test_sum_counts_refuse_orders_past_int64_exactness(monkeypatch):
+def test_sumset_reference_reads_each_operand_once():
+    g = GroupSpec.power(2, 8)
+    left, right = ElementSet.from_indices(g, range(0, 200, 3)), ElementSet.from_indices(g, [1, 6])
+    with mock.patch.object(np, "flatnonzero", side_effect=np.flatnonzero) as reads:
+        result = sumset_reference(left, right)
+    assert reads.call_count == 2  # not one read of right per element of left
+    assert result == ElementSet.from_indices(g, [x ^ y for x in left for y in right])
+
+
+def test_sum_counts_refuse_orders_past_float64_exactness(monkeypatch):
     full = ElementSet.full(GroupSpec.power(2, 4))
     monkeypatch.setattr(relrep.groups, "_WHT_EXACT_ORDER", 8)
     with pytest.raises(ValueError, match="exact only up to order 8"):
@@ -320,46 +327,33 @@ def test_difference_rows_match_scalar_subtraction(moduli):
 
 def test_walsh_hadamard_is_self_inverse_up_to_n():
     rng = np.random.default_rng(5)
-    for k in (1, 3, 6):
-        v = rng.integers(-4, 5, size=1 << k)
+    for k in (1, 3, 6, 7, 13, 14):
+        v = rng.integers(-4, 5, size=1 << k).astype(np.float64)
         assert np.array_equal(_walsh_hadamard(_walsh_hadamard(v.copy())), v * (1 << k))
-        # a batch transforms each row as the row alone does
-        batch = rng.integers(-4, 5, size=(5, 1 << k))
-        by_row = np.stack([_walsh_hadamard(row.copy()) for row in batch])
-        assert np.array_equal(_walsh_hadamard(batch), by_row)
-
-
-def _sylvester_hadamard(k):
-    h = np.ones((1, 1), dtype=np.int8)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    return h
 
 
 def test_walsh_hadamard_matches_the_sylvester_matrix_product():
-    # k = 1..12 and 1..6 rows: at k <= _WHT_LOW_BITS the whole transform runs
-    # on the transposed copy, above it only the low levels; entries reach
-    # +-order^2, the size of a product of two spectra
+    # k = 1..14 covers one to three digits of at most 6 bits, and the uneven
+    # splits at k = 7, 13 and 14; entries reach +-order^2, the size of a product
+    # of two spectra.  The oracle is the int64 product with columns of the dense
+    # matrix H[i, j] = (-1)^popcount(i & j): all of them up to order 1024, 256
+    # random ones above
     rng = np.random.default_rng(7)
-    for k in range(1, 13):
+    for k in range(1, 15):
         n = 1 << k
-        dense = _sylvester_hadamard(k)
-        for count in sorted({1, k % 6 + 1, 6}):
-            rows = rng.integers(-n * n, n * n + 1, size=(count, n))
-            expected = np.concatenate([rows @ dense[:, j:j + 512].astype(np.int64)
-                                       for j in range(0, n, 512)], axis=1)
-            out = rows.copy()
-            assert _walsh_hadamard(out) is out
-            assert np.array_equal(out, expected), (k, count)
-            single = rows[0].copy()
-            assert np.array_equal(_walsh_hadamard(single), expected[0])
+        v = rng.integers(-n * n, n * n + 1, size=n)
+        columns = np.arange(n) if n <= 1024 else rng.choice(n, 256, replace=False)
+        dense = 1 - 2 * (np.bitwise_count(np.arange(n)[:, None] & columns) & 1).astype(np.int64)
+        out = _walsh_hadamard(v.astype(np.float64))
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert np.array_equal(out[columns], v @ dense), k
 
 
-def test_walsh_hadamard_refuses_arrays_it_cannot_transform_in_place():
-    for rows in (np.ones(8, dtype=bool), np.ones(8, dtype=np.int32),
-                 np.ones((8, 2), dtype=np.int64).T):
-        with pytest.raises(ValueError, match="in place"):
-            _walsh_hadamard(rows)
+def test_walsh_hadamard_refuses_anything_but_a_float64_vector():
+    for values in (np.ones(8, dtype=bool), np.ones(8, dtype=np.int64),
+                   np.ones((2, 8))):
+        with pytest.raises(ValueError, match="float64 vector"):
+            _walsh_hadamard(values)
 
 
 # -- span --------------------------------------------------------------------------
