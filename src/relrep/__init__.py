@@ -10,7 +10,7 @@ subgroups behind the (Z/2Z)^k constructions.
 from .algebra import (Atom, IDENTITY, RaSpec, SpecError, builtin,
                       builtin_52_65, builtin_59_65, format_spec, parse_spec)
 from .comer import (CosetScheme, SchemeError, build_59_65_partition,
-                    build_scheme, canonical_cycle_shape, sweep_schemes)
+                    build_scheme, sweep_schemes)
 from .gf2 import (BasisState, ExtensionRejected, FixtureValidation,
                   PrecheckReport, SearchConfig, SearchOutcome, default_threshold,
                   extend_basis, induced_partition, initial_state,
@@ -35,7 +35,7 @@ __all__ = [
     "Atom", "IDENTITY", "RaSpec", "SpecError", "builtin", "builtin_52_65",
     "builtin_59_65", "format_spec", "parse_spec",
     "CosetScheme", "SchemeError", "build_59_65_partition", "build_scheme",
-    "canonical_cycle_shape", "sweep_schemes",
+    "sweep_schemes",
     "BasisState", "ExtensionRejected", "FixtureValidation", "PrecheckReport",
     "SearchConfig", "SearchOutcome", "default_threshold", "extend_basis",
     "induced_partition", "initial_state", "parse_bitstrings", "precheck",

@@ -219,8 +219,7 @@ def _cmd_search_gf2(args) -> tuple[dict, int]:
                                       args.k)) if args.seed_fixture else ())
     config = SearchConfig(k=args.k, t=args.t, target_order=args.target_order,
                           seed=_effective_seed(args.seed), restarts=args.restarts,
-                          backtrack=args.backtrack, time_budget=args.time_budget,
-                          initial_elements=initial)
+                          backtrack=args.backtrack, initial_elements=initial)
     outcome = search(config)
     accepted = outcome.report.accepted and (
         config.target_order is None or outcome.reached_target)
@@ -322,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="base seed (derived and echoed if omitted)")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--backtrack", type=int, default=0)
-    p.add_argument("--time-budget", type=float,
-                   help="wall-clock seconds; trades determinism for a hard stop")
     p.add_argument("--seed-fixture", help="bitstring file folded into every restart's basis")
     p.set_defaults(func=_cmd_search_gf2)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from math import gcd
 
 from .groups import (ElementSet, GroupSpec, cyclotomic_cosets, is_prime,
                      primitive_root, sumset)
@@ -119,24 +118,6 @@ def build_59_65_partition(scheme: CosetScheme) -> ColoredPartition:
         "b": scheme.cosets[0],
         "c": scheme.cosets[6] | scheme.cosets[7],
     })
-
-
-def canonical_cycle_shape(tri: tuple[int, int, int], m: int) -> tuple[int, int, int]:
-    """Canonical form of a coset triple under index translation and unit scaling.
-
-    Changing the primitive root rescales coset indices by a unit of Z/m and
-    translating all indices multiplies every coset by a fixed group element;
-    neither changes the abstract cycle structure, so shapes are compared in
-    the orbit of the affine maps i -> u*i + c.
-    """
-    units = [u for u in range(1, m) if gcd(u, m) == 1]
-    best = None
-    for u in units:
-        for c in range(m):
-            cand = tuple(sorted((u * x + c) % m for x in tri))
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def sweep_schemes(max_p: int, m: int) -> list[dict]:

@@ -10,7 +10,6 @@ restart search with greedy basis growth and optional backtracking.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -273,7 +272,6 @@ class SearchConfig:
     seed: int = 0
     restarts: int = 1
     backtrack: int = 0  # how many basis pops a restart may spend when stuck
-    time_budget: float | None = None  # seconds; wall-clock, so machine-dependent
     initial_elements: tuple[int, ...] = ()
 
     @property
@@ -294,8 +292,6 @@ class SearchConfig:
             raise ValueError("backtrack depth must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError("time budget must be >= 0 seconds")
         return self
 
 
@@ -319,7 +315,7 @@ class SearchOutcome:
     reached_target: bool
     restarts_run: int
     stats: list[RestartStat]
-    stopped_by: str  # "target" | "restarts" | "time"
+    stopped_by: str  # "target" (some restart reached it) | "restarts" (all ran)
 
     def to_dict(self) -> dict:
         group = GroupSpec.power(2, self.config.k)
@@ -373,14 +369,11 @@ def _next_extension(state: BasisState, candidates: np.ndarray, pos: int) -> int:
 
 
 def _run_restart(start: BasisState, candidates: np.ndarray,
-                 target: int | None, backtrack: int,
-                 deadline: float | None) -> BasisState:
+                 target: int | None, backtrack: int) -> BasisState:
     frames: list[list] = [[start, 0]]
     best = start
     pops_left = backtrack
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            break
         state, pos = frames[-1]
         if target is not None and state.order >= target:
             return state
@@ -395,12 +388,10 @@ def _run_restart(start: BasisState, candidates: np.ndarray,
             if result.order > best.order:
                 best = result
             continue
-        frames[-1][1] = pos
         if len(frames) == 1 or pops_left <= 0:
-            break
+            return best
         frames.pop()
         pops_left -= 1
-    return best
 
 
 def search(config: SearchConfig) -> SearchOutcome:
@@ -408,55 +399,44 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     Each restart greedily extends a basis along a seeded candidate order
     (restart r uses the derived rng seed [seed, r]); optional backtracking
-    re-opens the most recent choices when stuck.  Stops early once some restart
-    reaches the target order, whether or not the partition it induces is
-    accepted.  The outcome always carries the full verification report of the
-    partition induced by the best H found.  Determinism: identical configs give
-    identical outcomes, unless a wall-clock time budget cuts a run short.
+    re-opens the most recent choices when stuck.  The loop stops when some
+    restart reaches the target order, whether or not the partition it induces
+    is accepted, or when the restarts run out.  It keeps only the best
+    restart's key and report, so its memory does not grow with the restarts:
+    a restart whose order ties or beats the best is verified, and wins on a
+    higher order, else on (not accepted, canonical basis).  The outcome
+    carries the full verification report of the winner's partition.
+    Identical configs give identical outcomes.
     """
     config = config.validated()
-    pre = precheck(config.k, config.resolved_t)
+    t, target = config.resolved_t, config.target_order
+    pre = precheck(config.k, t)
     if not pre.passed:
         failed = [c.name for c in pre.checks if not c.holds]
-        raise ValueError(f"weight-class precheck failed for k={config.k}, "
-                         f"t={config.resolved_t}: {failed}")
+        raise ValueError(f"weight-class precheck failed for k={config.k}, t={t}: {failed}")
     group = GroupSpec.power(2, config.k)
-    low = weight_class(group, 1, config.resolved_t)
+    low = weight_class(group, 1, t)
     start = _fold_initial(initial_state(group, low), config.initial_elements)
+    spec = builtin_52_65()
 
-    began = time.monotonic()
-    deadline = began + config.time_budget if config.time_budget is not None else None
     stats: list[RestartStat] = []
-    results: list[BasisState] = []
-    stopped_by = "restarts"
+    best_key = None  # (-order, not accepted, canonical basis); the smallest wins
     for r in range(config.restarts):
-        if deadline is not None and time.monotonic() > deadline:
-            stopped_by = "time"
-            break
         rng = np.random.default_rng([config.seed, r])
         candidates = _seeded_candidates(low, config.k, rng)
-        state = _run_restart(start, candidates, config.target_order,
-                             config.backtrack, deadline)
-        reached = config.target_order is not None and state.order >= config.target_order
+        state = _run_restart(start, candidates, target, config.backtrack)
+        reached = target is not None and state.order >= target
         stats.append(RestartStat(r, state.order, reached))
-        results.append(state)
+        if best_key is None or -state.order <= best_key[0]:
+            # no name holds the partition, whose spectra would outlive this restart
+            report = verify_sumsets(spec, induced_partition(group, state.span_set(), t))
+            key = (-state.order, not report.accepted, state.canonical_basis())
+            if best_key is None or key < best_key:
+                best_key, best_report = key, report
         if reached:
-            stopped_by = "target"
             break
 
-    completed = len(stats)
-    if not results:
-        results = [start]  # time ran out before any restart; report the seed state
-    best_order = max(s.order for s in results)
-    tied = [s for s in results if s.order == best_order]
-    scored = []
-    for state in tied:
-        partition = induced_partition(group, state.span_set(), config.resolved_t)
-        report = verify_sumsets(builtin_52_65(), partition)
-        scored.append((not report.accepted, state.canonical_basis(), state, report))
-    scored.sort(key=lambda item: item[:2])
-    _, basis, winner, report = scored[0]
-    reached_target = (config.target_order is not None
-                      and winner.order >= config.target_order)
-    return SearchOutcome(config, basis, winner.order, report, reached_target,
-                         completed, stats, stopped_by)
+    # a restart that reaches the target outranks every earlier one, all below it
+    negated_order, _, basis = best_key
+    return SearchOutcome(config, basis, -negated_order, best_report, reached,
+                         len(stats), stats, "target" if reached else "restarts")

@@ -1,6 +1,7 @@
 """Weight-class prechecks, basis growth, fixture validation, and the search."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import REPO_ROOT, fixture_classes_oracle
-from relrep import gf2
+from relrep import gf2, groups
 from relrep.cli import EXIT_REJECT, main
 
 from relrep import (BasisState, ElementSet, ExtensionRejected, GroupSpec,
@@ -327,8 +328,6 @@ def test_search_config_validation():
         SearchConfig(k=10, t=10).validated()
     with pytest.raises(ValueError, match="seed"):
         SearchConfig(k=10, seed=-1).validated()
-    with pytest.raises(ValueError, match="time budget"):
-        SearchConfig(k=10, time_budget=-1.0).validated()
 
 
 def test_search_rejects_bad_initial_elements():
@@ -339,11 +338,52 @@ def test_search_rejects_bad_initial_elements():
         search(SearchConfig(k=10, seed=0, restarts=1, initial_elements=clash))
 
 
-def test_search_time_budget_stops():
-    out = search(SearchConfig(k=10, seed=0, restarts=500, time_budget=0.0))
-    assert out.stopped_by == "time"
-    assert out.restarts_run <= 1
-    assert out.report.verdict in ("accept", "reject")
+@pytest.mark.parametrize("k, restarts, backtrack, target", [
+    (7, 8, 2, None), (7, 6, 0, 16), (10, 12, 0, None), (10, 5, 1, 64), (13, 4, 0, None)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_winner_is_the_best_of_all_restarts(k, restarts, backtrack, target, seed):
+    # the reference keeps every restart's state up to the first that reaches the
+    # target, verifies each one of the top order and sorts those by
+    # (not accepted, canonical basis)
+    config = SearchConfig(k=k, seed=seed, restarts=restarts, backtrack=backtrack,
+                          target_order=target)
+    group = GroupSpec.power(2, k)
+    low = weight_class(group, 1, config.resolved_t)
+    states = []
+    for r in range(restarts):
+        candidates = gf2._seeded_candidates(low, k, np.random.default_rng([seed, r]))
+        states.append(gf2._run_restart(initial_state(group, low), candidates,
+                                       target, backtrack))
+        if target is not None and states[-1].order >= target:
+            break
+    top = max(s.order for s in states)
+    scored = []
+    for state in (s for s in states if s.order == top):
+        partition = induced_partition(group, state.span_set(), config.resolved_t)
+        report = verify_sumsets(builtin_52_65(), partition)
+        scored.append((not report.accepted, state.canonical_basis(), report.to_dict()))
+    _, basis, report = min(scored)
+    reached = target is not None and top >= target
+
+    out = search(config)
+    assert [s.order for s in out.stats] == [s.order for s in states]
+    assert (out.order, out.basis, out.report.to_dict()) == (top, basis, report)
+    assert out.reached_target == reached
+    assert out.stopped_by == ("target" if reached else "restarts")
+
+
+def test_search_memory_does_not_grow_with_restarts():
+    # one best key and report are kept, not every restart's two masks; the
+    # first call fills the per-(k, t) caches so that the peak is the search's own
+    config = SearchConfig(k=13, seed=1, restarts=32)
+    search(config)
+    tracemalloc.start()
+    try:
+        search(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < groups._BYTES_PER_ELEMENT["wht"] * 2**13
 
 
 # -- the kept-mask restart against the per-candidate oracle -----------------------
@@ -411,7 +451,7 @@ def test_batched_restart_matches_sequential_extend_basis(data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gf2, "extend_basis", recording)
-        best = gf2._run_restart(start, candidates, target, backtrack, None)
+        best = gf2._run_restart(start, candidates, target, backtrack)
     assert accepted == expected
     assert best.vectors == expected_best.vectors
     assert np.array_equal(best.span_mask, expected_best.span_mask)

@@ -15,6 +15,23 @@ def test_no_assert_statements_in_library():
     assert offenders == []
 
 
+def test_no_clock_imports_in_library():
+    # output may depend only on inputs and seeds, never on a wall clock
+    clocks = {"time", "datetime"}
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "relrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in clocks]
+    assert offenders == []
+
+
 def test_no_unused_top_level_imports_in_library():
     offenders = []
     for path in sorted((REPO_ROOT / "src" / "relrep").glob("*.py")):
