@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 IDENTITY = "1'"
 
@@ -59,6 +59,12 @@ class RaSpec:
                     f"cycle {cyc!r} names the identity atom; identity cycles are implicit")
             triples.add(tuple(sorted(a.index for a in atoms)))
         self._cycles = frozenset(triples)
+        profiles = []
+        for j, k in combinations_with_replacement(self.diversity_atoms, 2):
+            profile, include_zero = self.required_sumset_profile(j, k)
+            profiles.append((j.name, k.name, tuple(sorted(a.name for a in profile)),
+                             include_zero))
+        self._pair_profiles = tuple(profiles)
 
     # -- atom access ---------------------------------------------------
 
@@ -111,12 +117,10 @@ class RaSpec:
             if tuple(sorted((a.index, ja.index, ka.index))) in self._cycles)
         return profile, ja == ka
 
-    def pair_profiles(self) -> Iterator[tuple[str, str, tuple[str, ...], bool]]:
+    def pair_profiles(self) -> tuple[tuple[str, str, tuple[str, ...], bool], ...]:
         """(j, k, sorted profile atom names, include_zero) for each diversity
-        pair j <= k, in atom order."""
-        for j, k in combinations_with_replacement(self.diversity_atoms, 2):
-            profile, include_zero = self.required_sumset_profile(j, k)
-            yield j.name, k.name, tuple(sorted(a.name for a in profile)), include_zero
+        pair j <= k, in atom order; computed once, when the spec is built."""
+        return self._pair_profiles
 
     def all_diversity_triples(self) -> list[tuple[Atom, Atom, Atom]]:
         return list(combinations_with_replacement(self.diversity_atoms, 3))

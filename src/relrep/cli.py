@@ -3,7 +3,8 @@
 Exit codes: 0 for success or an accepting verdict, 1 for a rejecting verdict,
 2 for usage, structural, memory or internal errors, so that a broken invariant
 is never read as a verdict.  Each subcommand builds one JSON payload.
-``--format json`` emits it as stable sorted-key JSON meant for CI;
+``--format json`` emits it as stable sorted-key JSON meant for CI, the bytes
+of ``json.dumps(payload, indent=2, sort_keys=True)``;
 ``--format table`` (the default) prints the same payload one key per line, in
 the same key order.  Randomized subcommands echo their effective seed, and
 re-running with that seed reproduces the output byte for byte.
@@ -14,8 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import secrets
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .algebra import RaSpec, builtin, parse_spec
@@ -231,7 +234,43 @@ def _cmd_validate_fixture(args) -> tuple[dict, int]:
     return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
 
 
-# -- table ------------------------------------------------------------------------
+# -- output ---------------------------------------------------------------------
+
+
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, without the stdlib's
+    pure-Python encoder, which it runs whenever an indent is given.
+
+    ``newline`` is the line break plus the indent of the value's own line.
+    Strings, keys included, go through the stdlib's C escaper.  A type the
+    payloads never hold, or a key that is not a str, raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _inline(value) -> str:
@@ -336,7 +375,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
-        text = json.dumps(payload, indent=2, sort_keys=True)  # the table renders this text
+        text = _json(payload)  # the table renders this text
         print(text if args.format == "json" else "\n".join(_table(json.loads(text))))
     except (ValueError, OSError,  # StructuralError, SchemeError, SpecError too
             MemoryError,  # MemoryGuardError, or an allocation the budget under-charges

@@ -10,6 +10,7 @@ restart search with greedy basis growth and optional backtracking.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -313,9 +314,16 @@ class SearchOutcome:
     order: int
     report: VerificationReport
     reached_target: bool
-    restarts_run: int
     stats: list[RestartStat]
-    stopped_by: str  # "target" (some restart reached it) | "restarts" (all ran)
+
+    @property
+    def restarts_run(self) -> int:
+        return len(self.stats)
+
+    @property
+    def stopped_by(self) -> str:
+        """Either "target" (some restart reached it) or "restarts" (all ran)."""
+        return "target" if self.reached_target else "restarts"
 
     def to_dict(self) -> dict:
         group = GroupSpec.power(2, self.config.k)
@@ -370,7 +378,8 @@ def _next_extension(state: BasisState, candidates: np.ndarray, pos: int) -> int:
 
 def _run_restart(start: BasisState, candidates: np.ndarray,
                  target: int | None, backtrack: int) -> BasisState:
-    frames: list[list] = [[start, 0]]
+    # a restart pops at most `backtrack` frames, so only the top backtrack + 1 are kept
+    frames: deque[list] = deque([[start, 0]], maxlen=backtrack + 1)
     best = start
     pops_left = backtrack
     while True:
@@ -438,5 +447,4 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     # a restart that reaches the target outranks every earlier one, all below it
     negated_order, _, basis = best_key
-    return SearchOutcome(config, basis, -negated_order, best_report, reached,
-                         len(stats), stats, "target" if reached else "restarts")
+    return SearchOutcome(config, basis, -negated_order, best_report, reached, stats)

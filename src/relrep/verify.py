@@ -53,6 +53,12 @@ _TRANSPOSE_TILE = 256
 _ROW_BLOCK_CELLS = 1 << 18
 
 
+# Forbidden cells are labelled with their first witness this many at a time:
+# one batch covers the default cap of 100 recorded violations, and it reads
+# two rows of colors per cell.
+_LABEL_BATCH = 128
+
+
 class StructuralError(ValueError):
     """The candidate is malformed; distinct from a reject verdict."""
 
@@ -498,13 +504,12 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
 
     def triangle_labels(cells, j: str, k: str):
         """Label each cell (x, y) with its first witness z: colors[x, z] is j and
-        colors[z, y], read as colors[y, z] in a symmetric coloring, is k."""
-        last_x = None
-        for x, y in cells:
-            if x != last_x:  # the cells come row by row
-                last_x, from_x = x, colors[x] == code[j]
-            z = int(((colors[y] == code[k]) & from_x).argmax())
-            yield f"({x},{z},{y})"
+        colors[z, y], read as colors[y, z] in a symmetric coloring, is k.  The
+        cells are drawn _LABEL_BATCH at a time and each batch labelled at once."""
+        while batch := list(islice(cells, _LABEL_BATCH)):
+            xs, ys = np.array(batch).T
+            zs = ((colors[xs] == code[j]) & (colors[ys] == code[k])).argmax(axis=1)
+            yield from (f"({x},{z},{y})" for (x, y), z in zip(batch, zs.tolist()))
 
     def remainder(name: str) -> np.ndarray:
         rest = remainders[name]

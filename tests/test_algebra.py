@@ -81,6 +81,18 @@ def test_profiles_reconstruct_cycle_set(cycles):
     assert rebuilt == set(cycles)
 
 
+@given(cycle_sets)
+def test_pair_profiles_are_built_once_from_the_required_profiles(cycles):
+    spec = RaSpec(("a", "b", "c"), cycles)
+    profiles = spec.pair_profiles()
+    assert isinstance(profiles, tuple) and spec.pair_profiles() is profiles
+    expected = []
+    for j, k in combinations_with_replacement("abc", 2):
+        profile, include_zero = spec.required_sumset_profile(j, k)
+        expected.append((j, k, tuple(sorted(a.name for a in profile)), include_zero))
+    assert list(profiles) == expected
+
+
 @pytest.mark.parametrize("spec_name,pair,expected,zero", [
     ("59_65", ("b", "b"), {"a"}, True),
     ("52_65", ("b", "b"), {"b"}, True),

@@ -1,10 +1,11 @@
 """Exit codes, JSON schemas, seed echoing, and reproducible CLI output."""
 
 import json
+import math
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES, REPO_ROOT
@@ -523,3 +524,63 @@ def test_table_shows_every_key_and_scalar_of_the_payload(payload):
     text = "\n".join(lines)
     for fact in _keys_and_leaves(payload):
         assert fact in text
+
+
+# -- the JSON emitter against json.dumps -------------------------------------------
+
+# every escape class of the stdlib's ASCII escaper: quotes, backslashes, control
+# characters, non-ASCII letters and an astral symbol (a surrogate pair)
+_STRINGS = st.text() | st.sampled_from(['', '"', '\\', '\x00\x1f\x7f', '\u00e9\u2028',
+                                        '\U0001f600', 'a "b" \\c\n\td'])
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-1)
+                 | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+                 | _STRINGS)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=300)
+@given(_JSON_TREES)
+@example({})
+@example([])
+@example({"": {"": [[], {}, [{}]]}, "b": [-0.0, math.nan, math.inf, -math.inf, 2**70, -1]})
+def test_json_emitter_matches_json_dumps(value):
+    # json.dumps(indent=2, sort_keys=True) is the oracle the emitter replaced
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), [1, (2, {3})], {"a": {"b": b""}}])
+def test_json_emitter_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_output_runs_no_indenting_json_dumps(capsys, monkeypatch):
+    dumps = json.dumps
+
+    def compact_only(*args, **kwargs):
+        assert kwargs.get("indent") is None, "json.dumps with an indent on the output path"
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", compact_only)
+    for fmt in ("json", "table"):
+        assert main(["--format", fmt, "johnson-bound", "--max-n", "5"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"first_below_one": 13' in out and "first_below_one: 13" in out
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("show_algebra_52_65", ("show-algebra", "52_65")),
+    ("comer_p113_m8", ("comer", "--p", "113", "--m", "8")),
+    ("build_59_p113", ("build-59",)),
+    ("johnson_bound", ("johnson-bound",)),  # the one payload with floats
+])
+def test_json_bytes_pinned(capsys, name, argv):
+    # recorded with json.dumps(payload, indent=2, sort_keys=True), before the emitter
+    assert main(["--format", "json", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == (PINNED / f"{name}.json").read_text()

@@ -459,6 +459,56 @@ def test_batched_restart_matches_sequential_extend_basis(data):
     assert best.order == int(best.span_mask.sum())
 
 
+def _unbounded_restart(start, candidates, target, backtrack):
+    """_run_restart with every frame kept on a list, the oracle of its bounded
+    deque: the accepted vectors in order and the returned state.  Unlike
+    _sequential_restart it skips blocked candidates by the kept mask, so it
+    stays fast at k = 13."""
+    accepted = []
+    frames = [[start, 0]]
+    best = start
+    pops_left = backtrack
+    while True:
+        state, pos = frames[-1]
+        if target is not None and state.order >= target:
+            return accepted, state
+        pos = gf2._next_extension(state, candidates, pos)
+        if pos < candidates.size:
+            accepted.append(int(candidates[pos]))
+            result = extend_basis(state, accepted[-1])
+            frames[-1][1] = pos + 1
+            frames.append([result, pos + 1])
+            if result.order > best.order:
+                best = result
+            continue
+        if len(frames) == 1 or pops_left <= 0:
+            return accepted, best
+        frames.pop()
+        pops_left -= 1
+
+
+@pytest.mark.parametrize("k", [7, 10, 13])
+def test_restart_keeps_only_the_frames_it_can_pop(k, monkeypatch):
+    group = GroupSpec.power(2, k)
+    low = weight_class(group, 1, default_threshold(k))
+    start = initial_state(group, low)
+    accepted = []
+
+    def recording(state, v):
+        accepted.append(v)
+        return extend_basis(state, v)
+
+    monkeypatch.setattr(gf2, "extend_basis", recording)
+    for seed in range(4):
+        candidates = gf2._seeded_candidates(low, k, np.random.default_rng([seed, 0]))
+        for backtrack in range(4):
+            for target in (None, 1 << (k // 2)):
+                accepted.clear()
+                state = gf2._run_restart(start, candidates, target, backtrack)
+                assert (accepted, state) == _unbounded_restart(start, candidates, target,
+                                                               backtrack)
+
+
 # -- search-gf2 output pinned to the per-candidate search ----------------------------
 
 PINNED = REPO_ROOT / "tests" / "pinned"

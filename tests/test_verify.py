@@ -24,8 +24,8 @@ from relrep.algebra import IDENTITY
 from relrep.groups import MemoryGuardError
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
                            PairCheck, VerificationReport, _degrees,
-                           _subtract_transposed, _true_cells, _witness_tiles,
-                           check_coloring_memory)
+                           _ROW_BLOCK_CELLS, _subtract_transposed, _true_cells,
+                           _witness_tiles, check_coloring_memory)
 
 
 def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
@@ -579,6 +579,43 @@ def test_bruteforce_matches_pairwise_products(case, tile, block, early_exit, max
                                    max_recorded=max_recorded)
     oracle = _pairwise_bruteforce(spec, coloring, early_exit, max_recorded)
     assert report.to_dict() == oracle.to_dict()
+
+
+def _per_cell_triangle_labels(colors, cells, code_j: int, code_k: int):
+    """The per-cell labelling that verify_bruteforce batches, kept as its oracle:
+    each cell (x, y) gets the first z with colors[x, z] = j and colors[y, z] = k."""
+    last_x = None
+    for x, y in cells:
+        if x != last_x:  # the cells come row by row
+            last_x, from_x = x, colors[x] == code_j
+        z = int(((colors[y] == code_k) & from_x).argmax())
+        yield f"({x},{z},{y})"
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("rows_per_block", [None, 7])
+# above 100 points a random 3-coloring seldom misses a witness, so the first
+# violation is a forbidden triangle with thousands of cells
+@pytest.mark.parametrize("n,seed", [(110, 2), (131, 4)])
+@pytest.mark.parametrize("spec", [builtin_52_65(), builtin_59_65()])
+def test_batched_triangle_labels_match_the_per_cell_oracle(spec, n, seed, rows_per_block,
+                                                          early_exit):
+    coloring = _random_coloring(n, seed)
+    colors = coloring.colors
+    block_cells = _ROW_BLOCK_CELLS if rows_per_block is None else rows_per_block * n
+    with mock.patch.object(relrep.verify, "_ROW_BLOCK_CELLS", block_cells):
+        report = verify_bruteforce(spec, coloring, early_exit=early_exit, max_recorded=300)
+    labels = {}
+    for v in report.violations:
+        if v.kind == FORBIDDEN_REALIZED:
+            labels.setdefault(v.cycle, []).append(v.where)
+    # the first forbidden cycle fills the whole cap, over several batches of cells
+    assert len(next(iter(labels.values()))) == 300 > 2 * relrep.verify._LABEL_BATCH
+    for (i, j, k), where in labels.items():
+        cells = [(int(x), int(y)) for x, _, y in (w.strip("()").split(",") for w in where)]
+        assert where == list(_per_cell_triangle_labels(
+            colors, cells, coloring.atom_code(j), coloring.atom_code(k)))
+    assert report.to_dict() == _pairwise_bruteforce(spec, coloring, early_exit, 300).to_dict()
 
 
 @pytest.mark.parametrize("density", [0.0, 0.001, 0.3, 1.0])
