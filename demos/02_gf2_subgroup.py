@@ -30,7 +30,7 @@ print(f"  b-clique structure: {result.class_count} classes of "
 group = GroupSpec.power(2, 10)
 elements = parse_bitstrings(shipped_subgroup_bitstrings(), 10)
 subgroup = span(group, elements)
-partition = induced_partition(group, subgroup.elements, 6)
+partition = induced_partition(group, subgroup.elements)
 classes = equivalence_classes(cayley_coloring(partition), "b").classes
 print(f"\nfirst class, as cosets go: {sorted(classes[0])[:5]}... "
       f"({len(classes)} classes)")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
@@ -148,6 +149,7 @@ class RaSpec:
         return f"<RaSpec {tag}: {len(self._cycles)} cycles>"
 
 
+@functools.cache
 def builtin_52_65() -> RaSpec:
     """Algebra 52_65 (Maddux numbering): atoms 1', a, b, c; forbidden ccc, abb, bbc."""
     return RaSpec(("a", "b", "c"),
@@ -155,6 +157,7 @@ def builtin_52_65() -> RaSpec:
                   label="52_65")
 
 
+@functools.cache
 def builtin_59_65() -> RaSpec:
     """Algebra 59_65 (Maddux numbering): atoms 1', a, b, c; forbidden bbb, bbc."""
     return RaSpec(("a", "b", "c"),

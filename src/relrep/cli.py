@@ -220,7 +220,7 @@ def _cmd_johnson_mc(args) -> tuple[dict, int]:
 def _cmd_search_gf2(args) -> tuple[dict, int]:
     initial = (tuple(parse_bitstrings(_read_text(args.seed_fixture).splitlines(),
                                       args.k)) if args.seed_fixture else ())
-    config = SearchConfig(k=args.k, t=args.t, target_order=args.target_order,
+    config = SearchConfig(k=args.k, target_order=args.target_order,
                           seed=_effective_seed(args.seed), restarts=args.restarts,
                           backtrack=args.backtrack, initial_elements=initial)
     outcome = search(config)
@@ -230,7 +230,7 @@ def _cmd_search_gf2(args) -> tuple[dict, int]:
 
 
 def _cmd_validate_fixture(args) -> tuple[dict, int]:
-    result = validate_fixture(_read_text(args.path).splitlines(), k=args.k, t=args.t)
+    result = validate_fixture(_read_text(args.path).splitlines())
     return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
 
 
@@ -355,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-gf2", help="randomized subgroup search over (Z/2)^k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, help="weight cutoff (default: floor(2(k-1)/3))")
     p.add_argument("--target-order", type=int)
     p.add_argument("--seed", type=int, help="base seed (derived and echoed if omitted)")
     p.add_argument("--restarts", type=int, default=32)
@@ -364,9 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search_gf2)
 
     p = sub.add_parser("validate-fixture", help="run the four subgroup-fixture checks")
-    p.add_argument("path", help="bitstring file, one element per line")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--t", type=int, default=6)
+    p.add_argument("path", help="bitstring file, one length-k element per line")
     p.set_defaults(func=_cmd_validate_fixture)
     return parser
 
@@ -377,9 +374,7 @@ def main(argv=None) -> int:
         payload, code = args.func(args)
         text = _json(payload)  # the table renders this text
         print(text if args.format == "json" else "\n".join(_table(json.loads(text))))
-    except (ValueError, OSError,  # StructuralError, SchemeError, SpecError too
-            MemoryError,  # MemoryGuardError, or an allocation the budget under-charges
-            RuntimeError, AssertionError) as exc:  # broken invariants: an error, not a verdict
+    except Exception as exc:  # bad input, memory guard or broken invariant: never a verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

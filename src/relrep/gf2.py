@@ -1,8 +1,9 @@
 """Weight-class constructions over (Z/2Z)^k and the randomized subgroup search.
 
 The 52_65 recipe at dimension k splits the nonzero vectors into a low-weight
-shell X (weights 1..t) and its complement C; a subgroup H whose nonzero part
-stays inside X yields the candidate coloring b = H\\{0}, a = X\\H, c = C.
+shell X (weights 1..t, t = default_threshold(k)) and its complement C; a
+subgroup H whose nonzero part stays inside X yields the candidate coloring
+b = H\\{0}, a = X\\H, c = C.
 Finding a large enough H is the hard part, so this module offers a seeded
 restart search with greedy basis growth and optional backtracking.
 """
@@ -22,19 +23,18 @@ from .verify import ColoredPartition, VerificationReport, verify_sumsets
 
 
 def default_threshold(k: int) -> int:
-    """Weight cutoff t used when none is given: floor(2(k-1)/3).
+    """The weight cutoff t of the split at dimension k: floor(2(k-1)/3).
 
-    Matches t = 6 at k = 10 and keeps the complement C a top-weight band;
-    the general rule is a library choice, not an established fact, and every
-    run is still gated by an explicit precheck.
+    No other t can pass the precheck, and this one passes exactly when
+    k = 1 (mod 3), k >= 4; `precheck` proves both.
     """
     return 2 * (k - 1) // 3
 
 
-def _check_threshold(k: int, t: int) -> None:
-    """Refuse a weight cutoff t outside 1 <= t < k, where X and C are both nonempty."""
-    if not 1 <= t < k:
-        raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {k}")
+def _bitstrings(lines) -> list[str]:
+    """The bitstrings of a list's lines: '#' starts a comment, blank lines are skipped."""
+    texts = (raw.split("#", 1)[0].strip() for raw in lines)
+    return [text for text in texts if text]
 
 
 def parse_bitstrings(lines, k: int) -> list[int]:
@@ -42,10 +42,7 @@ def parse_bitstrings(lines, k: int) -> list[int]:
     group = GroupSpec.power(2, k)
     seen: dict[int, str] = {}
     out = []
-    for raw in lines:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for text in _bitstrings(lines):
         value = group.parse_element(text)
         if value in seen:
             raise ValueError(f"duplicate element {text!r}")
@@ -57,8 +54,7 @@ def parse_bitstrings(lines, k: int) -> list[int]:
 def shipped_subgroup_bitstrings() -> list[str]:
     """The bundled 63-element fixture for k = 10 (data/h52_k10.txt)."""
     text = resources.files("relrep.data").joinpath("h52_k10.txt").read_text()
-    return [line.split("#", 1)[0].strip() for line in text.splitlines()
-            if line.split("#", 1)[0].strip()]
+    return _bitstrings(text.splitlines())
 
 
 # -- weight-class prechecks -------------------------------------------------
@@ -97,9 +93,32 @@ def precheck(k: int, t: int) -> PrecheckReport:
     X = weights 1..t and C = weights t+1..k must give X+X = G,
     X+C = G\\{0} and C+C = G\\C (C maximal sum-free).  The answer depends on
     (k, t) alone, so it is computed once per pair; the report is immutable.
+
+    The three hold exactly when 3t = 2(k - 1), so only at
+    t = default_threshold(k) and only for k = 1 (mod 3), k >= 4.  Proof:
+    vectors of weights a and b that share o ones sum to weight a + b - 2o,
+    for every o from max(0, a + b - k) to min(a, b).  S_k acts transitively
+    on each weight class and fixes X and C, so every set here is a union of
+    weight classes, and each identity is a statement about weights.
+
+    Only if.  When 2t + 2 <= k, weights t + 1 and k - t - 1 with o = 0 put
+    weight k into C+C, so C is not sum-free.  Otherwise a + b > k forces
+    o >= a + b - k, so the heaviest weight in C+C is 2(k - t - 1), at
+    a = b = t + 1.  C+C = G\\C needs it at most t, as C+C misses C, and at
+    least t, as weight t lies in X.  Hence 3t = 2(k - 1).
+
+    If.  Let 3t = 2(k - 1) with k >= 4, so t is even, k <= 2t and t + 2 <= k.
+    C+C: a = b = t + 1 gives the even weights 0..t, a = t + 1 and b = t + 2
+    the odd weights 1..t - 1, and no weight exceeds 2(k - t - 1) = t.
+    X+X: (1, 1) with o = 1 gives 0, (2, 1) with o = 1 gives 1, and (a, w - a)
+    with o = 0 each w in 2..k, since k <= 2t.
+    X+C: X and C are disjoint, so 0 is missed; (t, t + 1) gives the odd
+    weights 1..t + 1, (t, t + 2) the even weights 2..t, and (1, w - 1) with
+    o = 0 each w in t + 2..k.
     """
     group = GroupSpec.power(2, k)
-    _check_threshold(k, t)
+    if not 1 <= t < k:
+        raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {k}")
     low = weight_class(group, 1, t)
     high = weight_class(group, t + 1, k)
     everything = ElementSet.full(group)
@@ -220,8 +239,9 @@ class FixtureValidation:
                 "verdict": "accept" if self.passed else "reject"}
 
 
-def induced_partition(group: GroupSpec, subgroup_elements: ElementSet, t: int) -> ColoredPartition:
+def induced_partition(group: GroupSpec, subgroup_elements: ElementSet) -> ColoredPartition:
     """52_65-style coloring: b = H\\{0}, a = rest of the low shell, c = high."""
+    t = default_threshold(group.rank)
     low = weight_class(group, 1, t)
     high = weight_class(group, t + 1, group.rank)
     b_mask = subgroup_elements.mask.copy()
@@ -230,16 +250,22 @@ def induced_partition(group: GroupSpec, subgroup_elements: ElementSet, t: int) -
     return ColoredPartition(group, {"a": low - b, "b": b, "c": high})
 
 
-def validate_fixture(bitstrings, k: int = 10, t: int = 6) -> FixtureValidation:
+def validate_fixture(bitstrings) -> FixtureValidation:
     """Run the four subgroup-fixture checks: weights, closure, sumsets, cliques.
 
-    The cliques are the classes of "y - x in H", H = b | {0} the fixture plus 0:
-    an equivalence exactly when H is closed, whose classes are then the cosets
-    of H.  So the closure check decides them, with no N^2 coloring.
+    k is the length of the bitstrings, and their weights must lie in 1..t for
+    t = default_threshold(k).  The cliques are the classes of "y - x in H",
+    H = b | {0} the fixture plus 0: an equivalence exactly when H is closed,
+    whose classes are then the cosets of H.  So the closure check decides
+    them, with no N^2 coloring.
     """
+    lines = _bitstrings(bitstrings)
+    if not lines:
+        raise ValueError("the fixture lists no bitstrings, so it has no dimension k")
+    k = len(lines[0])
+    t = default_threshold(k)
     group = GroupSpec.power(2, k)
-    _check_threshold(k, t)
-    elements = parse_bitstrings(bitstrings, k)
+    elements = parse_bitstrings(lines, k)
     weights = hamming_weights(k)
     bad = tuple(group.format_element(e) for e in elements
                 if not 1 <= int(weights[e]) <= t)
@@ -251,7 +277,7 @@ def validate_fixture(bitstrings, k: int = 10, t: int = 6) -> FixtureValidation:
 
     verification = classes_ok = class_count = class_size = None
     if weights_ok:
-        verification = verify_sumsets(builtin_52_65(), induced_partition(group, with_zero, t))
+        verification = verify_sumsets(builtin_52_65(), induced_partition(group, with_zero))
         classes_ok = closure_ok
         if closure_ok:
             class_count, class_size = group.order // order, order
@@ -268,21 +294,15 @@ def validate_fixture(bitstrings, k: int = 10, t: int = 6) -> FixtureValidation:
 @dataclass(frozen=True)
 class SearchConfig:
     k: int
-    t: int | None = None
     target_order: int | None = None  # power of two; None = grow as far as possible
     seed: int = 0
     restarts: int = 1
     backtrack: int = 0  # how many basis pops a restart may spend when stuck
     initial_elements: tuple[int, ...] = ()
 
-    @property
-    def resolved_t(self) -> int:
-        return self.t if self.t is not None else default_threshold(self.k)
-
     def validated(self) -> "SearchConfig":
         if self.k < 2:
             raise ValueError("dimension k must be at least 2")
-        _check_threshold(self.k, self.resolved_t)
         if self.target_order is not None:
             m = self.target_order
             if m < 1 or (m & (m - 1)) or m > (1 << self.k):
@@ -329,7 +349,7 @@ class SearchOutcome:
         group = GroupSpec.power(2, self.config.k)
         # no timing fields: identical config + seed must give identical JSON
         return {"k": self.config.k,
-                "t": self.config.resolved_t,
+                "t": default_threshold(self.config.k),
                 "seed": self.config.seed,
                 "target_order": self.config.target_order,
                 "restarts_requested": self.config.restarts,
@@ -418,7 +438,7 @@ def search(config: SearchConfig) -> SearchOutcome:
     Identical configs give identical outcomes.
     """
     config = config.validated()
-    t, target = config.resolved_t, config.target_order
+    t, target = default_threshold(config.k), config.target_order
     pre = precheck(config.k, t)
     if not pre.passed:
         failed = [c.name for c in pre.checks if not c.holds]
@@ -438,7 +458,7 @@ def search(config: SearchConfig) -> SearchOutcome:
         stats.append(RestartStat(r, state.order, reached))
         if best_key is None or -state.order <= best_key[0]:
             # no name holds the partition, whose spectra would outlive this restart
-            report = verify_sumsets(spec, induced_partition(group, state.span_set(), t))
+            report = verify_sumsets(spec, induced_partition(group, state.span_set()))
             key = (-state.order, not report.accepted, state.canonical_basis())
             if best_key is None or key < best_key:
                 best_key, best_report = key, report

@@ -14,8 +14,9 @@ import numpy as np
 from helpers import fixture_classes_oracle, random_symmetric_partition
 from relrep import (ElementSet, GroupSpec, SearchConfig, builtin_52_65,
                     builtin_59_65, build_59_65_partition, build_scheme,
-                    cayley_coloring, hamming_weights, induced_partition,
-                    mc_trial, minimal_sufficient_n, parse_bitstrings, precheck,
+                    cayley_coloring, default_threshold, hamming_weights,
+                    induced_partition, mc_trial, minimal_sufficient_n,
+                    parse_bitstrings, precheck,
                     primitive_root, probability_bound, search,
                     shipped_subgroup_bitstrings, span, sumset,
                     validate_fixture, verify_bruteforce, verify_sumsets,
@@ -31,11 +32,11 @@ def _criterion(number: int, description: str, checks: dict) -> None:
 
 def test_criterion_1_fixture_regression():
     start = time.monotonic()
-    result = validate_fixture(shipped_subgroup_bitstrings(), k=10, t=6)
+    result = validate_fixture(shipped_subgroup_bitstrings())
     elapsed = time.monotonic() - start
     # the cliques from the N^2 coloring, not from the closure check validate_fixture reads
     classes_ok, class_count, class_size = fixture_classes_oracle(
-        shipped_subgroup_bitstrings(), 10, 6)
+        shipped_subgroup_bitstrings())
     _criterion(1, "52_65 fixture over (Z/2)^10 passes all four checks", {
         "weights in [1,6]": result.weights_ok,
         "closure with 0 to order 64": result.closure_ok and result.subgroup_order == 64,
@@ -173,7 +174,7 @@ def _independently_sound(outcome, k, t) -> bool:
     nonzero = nonzero[nonzero != 0]
     if nonzero.size and not ((weights[nonzero] >= 1) & (weights[nonzero] <= t)).all():
         return False
-    fresh = verify_sumsets(builtin_52_65(), induced_partition(group, subgroup.elements, t))
+    fresh = verify_sumsets(builtin_52_65(), induced_partition(group, subgroup.elements))
     return fresh.accepted == outcome.report.accepted
 
 
@@ -193,7 +194,7 @@ def test_criterion_7_search_soundness_and_determinism():
         out2 = search(config)
         if out1.to_dict() != out2.to_dict():
             deterministic = False
-        if not _independently_sound(out1, config.k, config.resolved_t):
+        if not _independently_sound(out1, config.k, default_threshold(config.k)):
             sound = False
     _criterion(7, "search outcomes re-validate and reproduce; fixture seed reaches 64", {
         "fixture-seeded search reaches order 64": seeded.order == 64 and seeded.reached_target,

@@ -146,6 +146,8 @@ def test_constructor_rejects_identity_in_cycle():
 
 def test_builtin_lookup():
     assert builtin("52_65").label == "52_65"
+    assert builtin("52_65") is builtin("52_65") is builtin_52_65()  # built once
+    assert builtin("59_65") is builtin_59_65()
     with pytest.raises(SpecError):
         builtin("1_65")
 

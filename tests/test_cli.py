@@ -192,12 +192,25 @@ def test_validate_fixture_rejects_mutation(capsys, tmp_path):
     assert payload["verdict"] == "reject"
 
 
-@pytest.mark.parametrize("t", ["0", "10"])
-def test_validate_fixture_threshold_out_of_range_exits_2(capsys, t):
-    code, out, err = run_cli(capsys, "validate-fixture", str(FIXTURES / "h52_k10.txt"),
-                             "--t", t)
+def test_validate_fixture_reads_k_from_the_bitstrings(capsys, tmp_path):
+    # H + E3 for E3 = {000, 110, 011, 101}, the three new coordinates leftmost:
+    # the shipped k = 10 subgroup lifted to k = 13, accepted at t = 8
+    lines = (FIXTURES / "h52_k10.txt").read_text().splitlines()
+    shipped = ["0" * 10] + [l for l in lines if l.strip() and not l.startswith("#")]
+    path = tmp_path / "h_k13.txt"
+    path.write_text("".join(f"{e}{h}\n" for e in ("000", "110", "011", "101")
+                            for h in shipped if e + h != "0" * 13))
+    code, payload, _ = run_json(capsys, "validate-fixture", str(path))
+    assert code == EXIT_OK
+    assert (payload["k"], payload["t"], payload["subgroup_order"]) == (13, 8, 256)
+
+
+def test_validate_fixture_without_bitstrings_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no elements\n\n")
+    code, out, err = run_cli(capsys, "validate-fixture", str(path))
     assert code == EXIT_ERROR and not out
-    assert f"threshold t = {t} must satisfy 1 <= t < k = 10" in err
+    assert "no bitstrings" in err
 
 
 def test_verify_group_rep_accepts_comer_partition(capsys):
@@ -377,7 +390,8 @@ def test_search_gf2_has_no_time_budget_option(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("error", [RuntimeError, AssertionError, MemoryError])
+@pytest.mark.parametrize("error", [RuntimeError, AssertionError, MemoryError,
+                                   TypeError, KeyError, IndexError])
 def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
     def broken(config):
         raise error("invariant broken")
@@ -439,6 +453,7 @@ def test_table_output_is_default(capsys):
 
 
 _H52 = str(FIXTURES / "h52_k10.txt")
+_HEAVY = "{heavy fixture}"
 
 
 _KEY_LINES = [
@@ -471,9 +486,13 @@ def test_table_output_matches_json_exit_code(capsys, argv, key_line):
     ("build-59", "--p", "17"),  # reject
     ("verify-group-rep", str(FIXTURES / "comer113_partition.txt"), "--spec", "52_65",
      "--method", "both", "--no-early-exit"),
-    ("validate-fixture", _H52, "--t", "5"),  # weights fail, verification skipped
+    ("validate-fixture", _HEAVY),  # weights fail, verification skipped
 ])
-def test_table_is_rendered_from_the_json_payload_alone(capsys, argv):
+def test_table_is_rendered_from_the_json_payload_alone(capsys, tmp_path, argv):
+    if _HEAVY in argv:  # the shipped list plus one element of weight 7
+        path = tmp_path / "heavy.txt"
+        path.write_text((FIXTURES / "h52_k10.txt").read_text() + "1111111000\n")
+        argv = tuple(str(path) if arg == _HEAVY else arg for arg in argv)
     json_code, json_out, _ = run_cli(capsys, "--format", "json", *argv)
     code, out, _ = run_cli(capsys, "--format", "table", *argv)
     assert "\n".join(cli._table(json.loads(json_out))) + "\n" == out

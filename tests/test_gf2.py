@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REPO_ROOT, fixture_classes_oracle
+from helpers import REPO_ROOT, fixture_classes_oracle, weight_class_precheck
 from relrep import gf2, groups
 from relrep.cli import EXIT_REJECT, main
 
@@ -53,6 +53,21 @@ def test_precheck_k7_values_frozen():
 
 def test_precheck_k13_default_threshold_passes():
     assert precheck(13, 8).passed
+
+
+def test_precheck_passes_exactly_where_3t_is_2k_minus_2():
+    # the proof in precheck's docstring, checked densely and by weight arithmetic
+    for k in range(2, 17):
+        for t in range(1, k):
+            report = precheck(k, t)
+            assert report.passed == (3 * t == 2 * (k - 1)), (k, t)
+            assert weight_class_precheck(k, t) == report, (k, t)
+
+
+def test_weight_class_precheck_passes_on_the_same_line_up_to_k_200():
+    passing = {(k, t) for k in range(2, 201) for t in range(1, k)
+               if weight_class_precheck(k, t).passed}
+    assert passing == {(k, default_threshold(k)) for k in range(4, 201, 3)}
 
 
 def test_precheck_validation():
@@ -223,39 +238,39 @@ def test_fixture_classes_match_the_coloring_oracle(name):
     bits = _fixture_variants()[name]
     result = validate_fixture(bits)
     fields = (result.classes_ok, result.class_count, result.class_size)
-    assert fields == fixture_classes_oracle(bits, 10, 6)
+    assert fields == fixture_classes_oracle(bits)
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(2, 8), closed=st.booleans(), data=st.data())
+@given(k=st.integers(3, 8), closed=st.booleans(), data=st.data())
 def test_fixture_classes_match_the_oracle_on_drawn_subsets(k, closed, data):
-    # a span is closed; a drawn set mostly is not, though one vector is
+    # vectors drawn from the low shell; their span is closed but may leave the
+    # shell, while the drawn set mostly is not closed, though one vector is
     group = GroupSpec.power(2, k)
-    vectors = data.draw(st.lists(st.integers(1, group.order - 1), min_size=1,
+    t = default_threshold(k)
+    shell = weight_class(group, 1, t).indices().tolist()
+    vectors = data.draw(st.lists(st.sampled_from(shell), min_size=1,
                                  max_size=k + 2, unique=True))
     elements = [x for x in span(group, vectors).elements if x] if closed else vectors
     top = max(int(hamming_weights(k)[x]) for x in elements)
-    t = min(k - 1, top)  # the weights pass unless the all-ones vector is drawn
     bits = [group.format_element(x) for x in elements]
-    result = validate_fixture(bits, k, t)
+    result = validate_fixture(bits)
+    assert (result.k, result.t, result.weights_ok) == (k, t, top <= t)
     fields = (result.classes_ok, result.class_count, result.class_size)
     if result.weights_ok:
-        assert fields == fixture_classes_oracle(bits, k, t)
+        assert fields == fixture_classes_oracle(bits)
         assert result.classes_ok == result.closure_ok
     else:
-        assert top == k and fields == (None, None, None)
-
-
-def test_fixture_threshold_out_of_range():
-    with pytest.raises(ValueError, match="1 <= t < k"):
-        validate_fixture(shipped_subgroup_bitstrings(), t=0)
+        assert closed and fields == (None, None, None)
 
 
 def test_fixture_parse_errors():
     with pytest.raises(ValueError, match="bitstring"):
-        validate_fixture(["011000000"])  # nine characters
+        validate_fixture(["0110000000", "011000000"])  # ten characters, then nine
     with pytest.raises(ValueError, match="duplicate"):
         validate_fixture(["0110000000", "0110000000"])
+    with pytest.raises(ValueError, match="no bitstrings"):
+        validate_fixture(["# a comment", "   "])
 
 
 def test_parse_bitstrings_handles_comments():
@@ -267,7 +282,7 @@ def test_parse_bitstrings_handles_comments():
 
 
 def test_search_target_two_is_immediate():
-    out = search(SearchConfig(k=10, t=6, target_order=2, seed=0, restarts=1))
+    out = search(SearchConfig(k=10, target_order=2, seed=0, restarts=1))
     assert out.reached_target and out.order == 2
     assert out.stopped_by == "target"
     assert len(out.basis) == 1
@@ -296,7 +311,7 @@ def test_search_outcome_revalidates_independently():
                    SearchConfig(k=13, seed=4, restarts=1)):
         out = search(config)
         group = GroupSpec.power(2, config.k)
-        t = config.resolved_t
+        t = default_threshold(config.k)
         subgroup = span(group, out.basis)
         assert subgroup.order == out.order
         # closure, weight range, and the full sumset verdict, all recomputed
@@ -306,7 +321,7 @@ def test_search_outcome_revalidates_independently():
         nonzero = nonzero[nonzero != 0]
         assert ((weights[nonzero] >= 1) & (weights[nonzero] <= t)).all()
         fresh = verify_sumsets(builtin_52_65(),
-                               induced_partition(group, subgroup.elements, t))
+                               induced_partition(group, subgroup.elements))
         assert fresh.accepted == out.report.accepted
 
 
@@ -324,8 +339,6 @@ def test_search_config_validation():
         search(SearchConfig(k=10, restarts=0))
     with pytest.raises(ValueError, match="power of two"):
         SearchConfig(k=10, target_order=48).validated()
-    with pytest.raises(ValueError, match="threshold"):
-        SearchConfig(k=10, t=10).validated()
     with pytest.raises(ValueError, match="seed"):
         SearchConfig(k=10, seed=-1).validated()
 
@@ -348,7 +361,7 @@ def test_search_winner_is_the_best_of_all_restarts(k, restarts, backtrack, targe
     config = SearchConfig(k=k, seed=seed, restarts=restarts, backtrack=backtrack,
                           target_order=target)
     group = GroupSpec.power(2, k)
-    low = weight_class(group, 1, config.resolved_t)
+    low = weight_class(group, 1, default_threshold(k))
     states = []
     for r in range(restarts):
         candidates = gf2._seeded_candidates(low, k, np.random.default_rng([seed, r]))
@@ -359,7 +372,7 @@ def test_search_winner_is_the_best_of_all_restarts(k, restarts, backtrack, targe
     top = max(s.order for s in states)
     scored = []
     for state in (s for s in states if s.order == top):
-        partition = induced_partition(group, state.span_set(), config.resolved_t)
+        partition = induced_partition(group, state.span_set())
         report = verify_sumsets(builtin_52_65(), partition)
         scored.append((not report.accepted, state.canonical_basis(), report.to_dict()))
     _, basis, report = min(scored)
@@ -541,6 +554,6 @@ def test_validate_fixture_k16_json_bytes_pinned(capsys, tmp_path):
     elements = span(group, [int(v, 2) for v in basis]).elements
     path = tmp_path / "h_k16.txt"
     path.write_text("".join(f"{group.format_element(x)}\n" for x in elements if x))
-    code = main(["--format", "json", "validate-fixture", str(path), "--k", "16", "--t", "10"])
+    code = main(["--format", "json", "validate-fixture", str(path)])
     assert code == EXIT_REJECT
     assert capsys.readouterr().out == (PINNED / "validate_fixture_k16_t10.json").read_text()

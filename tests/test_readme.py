@@ -1,5 +1,6 @@
-"""The README's command-line examples run and succeed."""
+"""The README's command-line and library examples run and give their stated results."""
 
+import ast
 import re
 import shlex
 
@@ -23,3 +24,23 @@ def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
         assert argv[0] == "relrep"
         code = main(argv[1:])
         assert code == EXIT_OK, (command, capsys.readouterr().err)
+
+
+def test_readme_library_quick_start_gives_its_commented_results():
+    # each expression line with a comment prints, in the REPL, the comment's first word
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if comment.strip() and isinstance(ast.parse(code).body[0], ast.Expr):
+            expected = comment.split()[0].rstrip(":")
+            assert repr(eval(code, namespace)) == expected, line
+            checked.append(expected)
+        else:
+            exec(code, namespace)
+    assert checked == ["'accept'", "'accept'", "True", "13", "1476337800"]
