@@ -19,12 +19,13 @@ print(f"  |X| = {report.low_size}, |C| = {report.high_size}, "
 
 print("\nvalidating the shipped 63-element subgroup fixture:")
 result = validate_fixture(shipped_subgroup_bitstrings())
-print(f"  weights in [1, 6]: {result.weights_ok}")
+payload = result.to_dict()  # adds what follows from the checks: t, the classes, the verdict
+print(f"  weights in [1, {payload['t']}]: {result.weights_ok}")
 print(f"  closed under addition with 0: {result.closure_ok} "
       f"(order {result.subgroup_order})")
 print(f"  52_65 sumset verification: {result.verification.verdict}")
-print(f"  b-clique structure: {result.class_count} classes of "
-      f"size {result.class_size}")
+print(f"  b-clique structure: {payload['class_count']} classes of "
+      f"size {payload['class_size']}")
 
 # the b-classes are exactly the cosets of H
 group = GroupSpec.power(2, 10)

@@ -13,12 +13,12 @@ fixture = tuple(parse_bitstrings(shipped_subgroup_bitstrings(), 10))
 seeded = search(SearchConfig(k=10, target_order=64, seed=0, restarts=1,
                              initial_elements=fixture))
 print(f"k=10 seeded with the fixture: |H| = {seeded.order}, "
-      f"verdict {seeded.report.verdict} (stopped by {seeded.stopped_by})")
+      f"verdict {seeded.report.verdict} (reached the target: {seeded.reached_target})")
 
 fresh = search(SearchConfig(k=10, target_order=64, seed=3, restarts=8))
 print(f"k=10 from scratch, 8 restarts: |H| = {fresh.order}, "
-      f"verdict {fresh.report.verdict}")
-print("  restart orders:", [s.order for s in fresh.stats])
+      f"verdict {fresh.report.verdict}, passed: {fresh.passed}")
+print("  restart orders:", list(fresh.orders))
 
 open_case = search(SearchConfig(k=7, seed=11, restarts=16, backtrack=2))
 print(f"k=7 (t defaults to 4), 16 restarts with backtracking: "

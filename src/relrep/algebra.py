@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IDENTITY = "1'"
 
@@ -123,19 +123,14 @@ class RaSpec:
         pair j <= k, in atom order; computed once, when the spec is built."""
         return self._pair_profiles
 
-    def all_diversity_triples(self) -> list[tuple[Atom, Atom, Atom]]:
-        return list(combinations_with_replacement(self.diversity_atoms, 3))
-
     def cycle_names(self) -> list[tuple[str, str, str]]:
         """Allowed diversity cycles as sorted name triples."""
         return sorted(tuple(self._atoms[i].name for i in tri) for tri in self._cycles)
 
     def forbidden_cycle_names(self) -> list[tuple[str, str, str]]:
-        out = []
-        for tri in self.all_diversity_triples():
-            if tuple(sorted(a.index for a in tri)) not in self._cycles:
-                out.append(tuple(a.name for a in tri))
-        return sorted(out)
+        return sorted(tuple(a.name for a in tri)
+                      for tri in combinations_with_replacement(self.diversity_atoms, 3)
+                      if tuple(sorted(a.index for a in tri)) not in self._cycles)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RaSpec)
@@ -176,6 +171,14 @@ def builtin(label: str) -> RaSpec:
                         f"available: {sorted(_BUILTINS)}") from None
 
 
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) of each line that keeps text once a '#' comment
+    and the surrounding whitespace are stripped: the input files' one comment grammar."""
+    for lineno, raw in enumerate(lines, 1):
+        if text := raw.split("#", 1)[0].strip():
+            yield lineno, text
+
+
 def parse_spec(text: str) -> RaSpec:
     """Parse the line-oriented algebra format.
 
@@ -186,10 +189,7 @@ def parse_spec(text: str) -> RaSpec:
     atoms: list[str] | None = None
     cycles: list[str] | None = None
     label = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         key, sep, rest = line.partition(":")
         if not sep:
             raise SpecError(f"line {lineno}: expected 'key: values', got {line!r}")

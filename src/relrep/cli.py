@@ -21,7 +21,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .algebra import RaSpec, builtin, parse_spec
+from .algebra import RaSpec, builtin, content_lines, parse_spec
 from .comer import build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
 from .groups import ElementSet, GroupSpec, check_memory
@@ -81,10 +81,7 @@ def load_partition(path, group: GroupSpec | None = None,
     text = _read_text(path)
     file_group: GroupSpec | None = None
     rows: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         if line.startswith("group:"):
             if file_group is not None:
                 raise StructuralError(f"{path}:{lineno}: duplicate group directive")
@@ -224,9 +221,7 @@ def _cmd_search_gf2(args) -> tuple[dict, int]:
                           seed=_effective_seed(args.seed), restarts=args.restarts,
                           backtrack=args.backtrack, initial_elements=initial)
     outcome = search(config)
-    accepted = outcome.report.accepted and (
-        config.target_order is None or outcome.reached_target)
-    return outcome.to_dict(), EXIT_OK if accepted else EXIT_REJECT
+    return outcome.to_dict(), EXIT_OK if outcome.passed else EXIT_REJECT
 
 
 def _cmd_validate_fixture(args) -> tuple[dict, int]:

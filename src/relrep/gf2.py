@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import builtin_52_65
+from .algebra import builtin_52_65, content_lines
 from .groups import ElementSet, GroupSpec, hamming_weights, sumset, weight_class
 from .verify import ColoredPartition, VerificationReport, verify_sumsets
 
@@ -31,10 +31,11 @@ def default_threshold(k: int) -> int:
     return 2 * (k - 1) // 3
 
 
-def _bitstrings(lines) -> list[str]:
-    """The bitstrings of a list's lines: '#' starts a comment, blank lines are skipped."""
-    texts = (raw.split("#", 1)[0].strip() for raw in lines)
-    return [text for text in texts if text]
+def _weight_split(group: GroupSpec) -> tuple[ElementSet, ElementSet]:
+    """The split's X (weights 1..t) and C (weights t+1..k) on the given (Z/2)^k,
+    t = default_threshold(k)."""
+    t = default_threshold(group.rank)
+    return weight_class(group, 1, t), weight_class(group, t + 1, group.rank)
 
 
 def parse_bitstrings(lines, k: int) -> list[int]:
@@ -42,7 +43,7 @@ def parse_bitstrings(lines, k: int) -> list[int]:
     group = GroupSpec.power(2, k)
     seen: dict[int, str] = {}
     out = []
-    for text in _bitstrings(lines):
+    for _, text in content_lines(lines):
         value = group.parse_element(text)
         if value in seen:
             raise ValueError(f"duplicate element {text!r}")
@@ -54,7 +55,7 @@ def parse_bitstrings(lines, k: int) -> list[int]:
 def shipped_subgroup_bitstrings() -> list[str]:
     """The bundled 63-element fixture for k = 10 (data/h52_k10.txt)."""
     text = resources.files("relrep.data").joinpath("h52_k10.txt").read_text()
-    return _bitstrings(text.splitlines())
+    return [line for _, line in content_lines(text.splitlines())]
 
 
 # -- weight-class prechecks -------------------------------------------------
@@ -167,9 +168,6 @@ class ExtensionRejected:
     reason: str  # "dependent" | "escapes_allowed"
     offending: int | None = None  # span element h with h + v outside allowed
 
-    def __bool__(self) -> bool:
-        return False
-
 
 def initial_state(group: GroupSpec, allowed: ElementSet) -> BasisState:
     mask = np.zeros(group.order, dtype=bool)
@@ -210,40 +208,44 @@ def extend_basis(state: BasisState, v: int) -> BasisState | ExtensionRejected:
 # -- fixture validation -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixtureValidation:
+    """What validate_fixture measured; the verdict and the classes follow from it."""
+
     k: int
-    t: int
     element_count: int
-    weights_ok: bool
     bad_weight_elements: tuple[str, ...]
     closure_ok: bool
     subgroup_order: int
-    verification: VerificationReport | None
-    classes_ok: bool | None
-    class_count: int | None
-    class_size: int | None
-    passed: bool
+    verification: VerificationReport | None  # run only when the weights pass
+
+    @property
+    def weights_ok(self) -> bool:
+        return not self.bad_weight_elements
+
+    @property
+    def passed(self) -> bool:
+        return self.weights_ok and self.closure_ok and self.verification.accepted
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "t": self.t,
+        cosets = self.weights_ok and self.closure_ok  # the classes are the cosets of H
+        order = self.subgroup_order
+        return {"k": self.k, "t": default_threshold(self.k),
                 "element_count": self.element_count,
                 "weights_ok": self.weights_ok,
                 "bad_weight_elements": list(self.bad_weight_elements),
                 "closure_ok": self.closure_ok,
-                "subgroup_order": self.subgroup_order,
+                "subgroup_order": order,
                 "verification": self.verification.to_dict() if self.verification else None,
-                "classes_ok": self.classes_ok,
-                "class_count": self.class_count,
-                "class_size": self.class_size,
+                "classes_ok": self.closure_ok if self.weights_ok else None,
+                "class_count": (1 << self.k) // order if cosets else None,
+                "class_size": order if cosets else None,
                 "verdict": "accept" if self.passed else "reject"}
 
 
 def induced_partition(group: GroupSpec, subgroup_elements: ElementSet) -> ColoredPartition:
     """52_65-style coloring: b = H\\{0}, a = rest of the low shell, c = high."""
-    t = default_threshold(group.rank)
-    low = weight_class(group, 1, t)
-    high = weight_class(group, t + 1, group.rank)
+    low, high = _weight_split(group)
     b_mask = subgroup_elements.mask.copy()
     b_mask[0] = False
     b = ElementSet(group, b_mask)
@@ -259,33 +261,19 @@ def validate_fixture(bitstrings) -> FixtureValidation:
     whose classes are then the cosets of H.  So the closure check decides
     them, with no N^2 coloring.
     """
-    lines = _bitstrings(bitstrings)
+    lines = [line for _, line in content_lines(bitstrings)]
     if not lines:
         raise ValueError("the fixture lists no bitstrings, so it has no dimension k")
     k = len(lines[0])
-    t = default_threshold(k)
     group = GroupSpec.power(2, k)
     elements = parse_bitstrings(lines, k)
-    weights = hamming_weights(k)
-    bad = tuple(group.format_element(e) for e in elements
-                if not 1 <= int(weights[e]) <= t)
-    weights_ok = not bad
-
+    low = _weight_split(group)[0]
+    bad = tuple(group.format_element(e) for e in elements if e not in low)
     with_zero = ElementSet.from_indices(group, elements + [0])
     closure_ok = sumset(with_zero, with_zero) == with_zero
-    order = len(with_zero)
-
-    verification = classes_ok = class_count = class_size = None
-    if weights_ok:
-        verification = verify_sumsets(builtin_52_65(), induced_partition(group, with_zero))
-        classes_ok = closure_ok
-        if closure_ok:
-            class_count, class_size = group.order // order, order
-    passed = bool(weights_ok and closure_ok and verification is not None
-                  and verification.accepted and classes_ok)
-    return FixtureValidation(k, t, len(elements), weights_ok, bad, closure_ok,
-                             order, verification, classes_ok, class_count,
-                             class_size, passed)
+    verification = None if bad else verify_sumsets(builtin_52_65(),
+                                                   induced_partition(group, with_zero))
+    return FixtureValidation(k, len(elements), bad, closure_ok, len(with_zero), verification)
 
 
 # -- randomized restart search --------------------------------------------------
@@ -300,9 +288,9 @@ class SearchConfig:
     backtrack: int = 0  # how many basis pops a restart may spend when stuck
     initial_elements: tuple[int, ...] = ()
 
-    def validated(self) -> "SearchConfig":
-        if self.k < 2:
-            raise ValueError("dimension k must be at least 2")
+    def __post_init__(self) -> None:
+        if self.k < 3:  # from k = 3 on the split's cutoff t is at least 1
+            raise ValueError(f"dimension k = {self.k} must be at least 3")
         if self.target_order is not None:
             m = self.target_order
             if m < 1 or (m & (m - 1)) or m > (1 << self.k):
@@ -313,37 +301,30 @@ class SearchConfig:
             raise ValueError("backtrack depth must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        return self
+
+    def reaches(self, order: int) -> bool:
+        """Whether a subgroup of this order reaches the target order."""
+        return self.target_order is not None and order >= self.target_order
 
 
 @dataclass(frozen=True)
-class RestartStat:
-    index: int
-    order: int
-    reached_target: bool
-
-    def to_dict(self) -> dict:
-        return {"restart": self.index, "order": self.order,
-                "reached_target": self.reached_target}
-
-
-@dataclass
 class SearchOutcome:
     config: SearchConfig
     basis: tuple[int, ...]  # canonical (sorted) basis of the best subgroup found
     order: int
     report: VerificationReport
-    reached_target: bool
-    stats: list[RestartStat]
+    orders: tuple[int, ...]  # each restart's order, in run order
 
     @property
-    def restarts_run(self) -> int:
-        return len(self.stats)
+    def reached_target(self) -> bool:
+        """Whether the last restart reached the target: the search stops at the first that does."""
+        return self.config.reaches(self.orders[-1])
 
     @property
-    def stopped_by(self) -> str:
-        """Either "target" (some restart reached it) or "restarts" (all ran)."""
-        return "target" if self.reached_target else "restarts"
+    def passed(self) -> bool:
+        """The exit code's verdict: accepted, and at the target order if one was set."""
+        return self.report.accepted and (self.config.target_order is None
+                                         or self.reached_target)
 
     def to_dict(self) -> dict:
         group = GroupSpec.power(2, self.config.k)
@@ -357,9 +338,11 @@ class SearchOutcome:
                 "order": self.order,
                 "basis": [group.format_element(v) for v in self.basis],
                 "reached_target": self.reached_target,
-                "restarts_run": self.restarts_run,
-                "stats": [s.to_dict() for s in self.stats],
-                "stopped_by": self.stopped_by,
+                "restarts_run": len(self.orders),
+                "stats": [{"restart": r, "order": order,
+                           "reached_target": self.config.reaches(order)}
+                          for r, order in enumerate(self.orders)],
+                "stopped_by": "target" if self.reached_target else "restarts",
                 "verdict": self.report.verdict,
                 "report": self.report.to_dict()}
 
@@ -437,25 +420,24 @@ def search(config: SearchConfig) -> SearchOutcome:
     carries the full verification report of the winner's partition.
     Identical configs give identical outcomes.
     """
-    config = config.validated()
     t, target = default_threshold(config.k), config.target_order
     pre = precheck(config.k, t)
     if not pre.passed:
         failed = [c.name for c in pre.checks if not c.holds]
         raise ValueError(f"weight-class precheck failed for k={config.k}, t={t}: {failed}")
     group = GroupSpec.power(2, config.k)
-    low = weight_class(group, 1, t)
+    low = _weight_split(group)[0]
     start = _fold_initial(initial_state(group, low), config.initial_elements)
     spec = builtin_52_65()
 
-    stats: list[RestartStat] = []
+    orders = []
     best_key = None  # (-order, not accepted, canonical basis); the smallest wins
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
         candidates = _seeded_candidates(low, config.k, rng)
         state = _run_restart(start, candidates, target, config.backtrack)
-        reached = target is not None and state.order >= target
-        stats.append(RestartStat(r, state.order, reached))
+        reached = config.reaches(state.order)
+        orders.append(state.order)
         if best_key is None or -state.order <= best_key[0]:
             # no name holds the partition, whose spectra would outlive this restart
             report = verify_sumsets(spec, induced_partition(group, state.span_set()))
@@ -467,4 +449,4 @@ def search(config: SearchConfig) -> SearchOutcome:
 
     # a restart that reaches the target outranks every earlier one, all below it
     negated_order, _, basis = best_key
-    return SearchOutcome(config, basis, -negated_order, best_report, reached, stats)
+    return SearchOutcome(config, basis, -negated_order, best_report, tuple(orders))

@@ -383,6 +383,13 @@ def test_search_gf2_unreachable_target_exits_reject(capsys):
     assert payload["reached_target"] is False
 
 
+def test_search_gf2_refuses_k_below_3_by_its_dimension(capsys):
+    # the split's cutoff t = floor(2(k - 1)/3) is 0 at k = 2, but no flag sets it
+    code, out, err = run_cli(capsys, "search-gf2", "--k", "2", "--seed", "1")
+    assert code == EXIT_ERROR and not out
+    assert "k = 2" in err and "threshold" not in err
+
+
 def test_search_gf2_has_no_time_budget_option(capsys):
     # --restarts is the deterministic work bound; a wall clock would make seeded output vary
     with pytest.raises(SystemExit) as exc:

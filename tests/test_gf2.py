@@ -1,5 +1,6 @@
 """Weight-class prechecks, basis growth, fixture validation, and the search."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -68,6 +69,16 @@ def test_weight_class_precheck_passes_on_the_same_line_up_to_k_200():
     passing = {(k, t) for k in range(2, 201) for t in range(1, k)
                if weight_class_precheck(k, t).passed}
     assert passing == {(k, default_threshold(k)) for k in range(4, 201, 3)}
+
+
+def test_weight_split_is_the_weight_class_pair_on_the_given_group():
+    for k in range(3, 17):
+        group = GroupSpec.power(2, k)
+        low, high = gf2._weight_split(group)
+        t = default_threshold(k)
+        assert low == weight_class(group, 1, t)
+        assert high == weight_class(group, t + 1, k)
+        assert low.group is group and high.group is group
 
 
 def test_precheck_validation():
@@ -195,10 +206,10 @@ def test_shipped_fixture_passes_all_four_checks():
     assert result.weights_ok and not result.bad_weight_elements
     assert result.closure_ok and result.subgroup_order == 64
     assert result.verification.accepted
-    assert result.classes_ok
-    assert result.class_count == 16 and result.class_size == 64
     assert result.passed
     payload = result.to_dict()
+    assert payload["classes_ok"]
+    assert payload["class_count"] == 16 and payload["class_size"] == 64
     assert payload["verdict"] == "accept"
 
 
@@ -224,8 +235,16 @@ def test_flipping_a_bit_breaks_closure_and_verification():
     assert result.weights_ok
     assert not result.closure_ok
     assert not result.verification.accepted
-    assert result.classes_ok is False
+    assert result.to_dict()["classes_ok"] is False
     assert not result.passed
+
+
+def test_fixture_validation_is_frozen():
+    result = validate_fixture(shipped_subgroup_bitstrings()[:-1])
+    assert not result.passed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.passed = True
+    assert result.to_dict()["verdict"] == "reject"
 
 
 def _fixture_variants():
@@ -236,8 +255,8 @@ def _fixture_variants():
 @pytest.mark.parametrize("name", ["shipped", "dropped", "flipped"])
 def test_fixture_classes_match_the_coloring_oracle(name):
     bits = _fixture_variants()[name]
-    result = validate_fixture(bits)
-    fields = (result.classes_ok, result.class_count, result.class_size)
+    payload = validate_fixture(bits).to_dict()
+    fields = (payload["classes_ok"], payload["class_count"], payload["class_size"])
     assert fields == fixture_classes_oracle(bits)
 
 
@@ -255,11 +274,12 @@ def test_fixture_classes_match_the_oracle_on_drawn_subsets(k, closed, data):
     top = max(int(hamming_weights(k)[x]) for x in elements)
     bits = [group.format_element(x) for x in elements]
     result = validate_fixture(bits)
-    assert (result.k, result.t, result.weights_ok) == (k, t, top <= t)
-    fields = (result.classes_ok, result.class_count, result.class_size)
+    payload = result.to_dict()
+    assert (result.k, payload["t"], result.weights_ok) == (k, t, top <= t)
+    fields = (payload["classes_ok"], payload["class_count"], payload["class_size"])
     if result.weights_ok:
         assert fields == fixture_classes_oracle(bits)
-        assert result.classes_ok == result.closure_ok
+        assert payload["classes_ok"] == result.closure_ok
     else:
         assert closed and fields == (None, None, None)
 
@@ -284,7 +304,7 @@ def test_parse_bitstrings_handles_comments():
 def test_search_target_two_is_immediate():
     out = search(SearchConfig(k=10, target_order=2, seed=0, restarts=1))
     assert out.reached_target and out.order == 2
-    assert out.stopped_by == "target"
+    assert out.to_dict()["stopped_by"] == "target"
     assert len(out.basis) == 1
 
 
@@ -294,7 +314,7 @@ def test_search_seeded_with_fixture_reaches_64_and_accepts():
                               initial_elements=initial))
     assert out.reached_target and out.order == 64
     assert out.report.accepted
-    assert out.stats[0].reached_target
+    assert out.orders == (64,)
 
 
 def test_search_is_deterministic():
@@ -330,17 +350,22 @@ def test_search_k7_runs_and_reports_without_success_claim():
     config = SearchConfig(k=7, seed=5, restarts=6, backtrack=1)
     out = search(config)
     assert out.order >= 2
-    assert out.restarts_run == 6
+    assert len(out.orders) == 6
     assert search(config).to_dict() == out.to_dict()
 
 
 def test_search_config_validation():
+    # an invalid config cannot be built, so search never checks one
     with pytest.raises(ValueError, match="restart"):
-        search(SearchConfig(k=10, restarts=0))
+        SearchConfig(k=10, restarts=0)
     with pytest.raises(ValueError, match="power of two"):
-        SearchConfig(k=10, target_order=48).validated()
+        SearchConfig(k=10, target_order=48)
     with pytest.raises(ValueError, match="seed"):
-        SearchConfig(k=10, seed=-1).validated()
+        SearchConfig(k=10, seed=-1)
+    with pytest.raises(ValueError, match="dimension k = 2 must be at least 3"):
+        SearchConfig(k=2)
+    with pytest.raises(ValueError, match="precheck failed"):
+        search(SearchConfig(k=3))  # t = 1, but 3t != 2(k - 1)
 
 
 def test_search_rejects_bad_initial_elements():
@@ -379,10 +404,16 @@ def test_search_winner_is_the_best_of_all_restarts(k, restarts, backtrack, targe
     reached = target is not None and top >= target
 
     out = search(config)
-    assert [s.order for s in out.stats] == [s.order for s in states]
+    assert out.orders == tuple(s.order for s in states)
     assert (out.order, out.basis, out.report.to_dict()) == (top, basis, report)
     assert out.reached_target == reached
-    assert out.stopped_by == ("target" if reached else "restarts")
+    payload = out.to_dict()
+    assert payload["stats"] == [
+        {"restart": r, "order": s.order,
+         "reached_target": target is not None and s.order >= target}
+        for r, s in enumerate(states)]
+    assert payload["restarts_run"] == len(states)
+    assert payload["stopped_by"] == ("target" if reached else "restarts")
 
 
 def test_search_memory_does_not_grow_with_restarts():

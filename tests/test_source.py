@@ -1,7 +1,9 @@
 """Properties of the library source itself."""
 
 import ast
+import dataclasses
 
+import relrep
 from helpers import REPO_ROOT
 
 
@@ -66,3 +68,13 @@ def test_only_cli_main_prints():
     for path in sorted((REPO_ROOT / "src" / "relrep").glob("*.py")):
         callers.update(_print_callers(ast.parse(path.read_text()), path.stem))
     assert callers == {"cli.main"}
+
+
+def test_public_dataclasses_are_frozen():
+    # values are immutable once built; the one exception is the report that a
+    # verifier fills in before returning it
+    classes = [getattr(relrep, name) for name in relrep.__all__]
+    mutable = {cls.__name__ for cls in classes
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and not cls.__dataclass_params__.frozen}
+    assert mutable == {"VerificationReport"}
