@@ -8,7 +8,7 @@ subgroups behind the (Z/2Z)^k constructions.
 """
 
 from .algebra import (Atom, IDENTITY, RaSpec, SpecError, builtin,
-                      builtin_52_65, builtin_59_65, format_spec, parse_spec)
+                      builtin_52_65, builtin_59_65, parse_spec)
 from .comer import (CosetScheme, SchemeError, build_59_65_partition,
                     build_scheme, sweep_schemes)
 from .gf2 import (BasisState, ExtensionRejected, FixtureValidation,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "IDENTITY", "RaSpec", "SpecError", "builtin", "builtin_52_65",
-    "builtin_59_65", "format_spec", "parse_spec",
+    "builtin_59_65", "parse_spec",
     "CosetScheme", "SchemeError", "build_59_65_partition", "build_scheme",
     "sweep_schemes",
     "BasisState", "ExtensionRejected", "FixtureValidation", "PrecheckReport",

@@ -217,16 +217,3 @@ def parse_spec(text: str) -> RaSpec:
         if len(token) != 3:
             raise SpecError(f"cycle token {token!r} must be three atom characters")
     return RaSpec(atoms, cycles, label=label)
-
-
-def format_spec(spec: RaSpec) -> str:
-    """Inverse of parse_spec; requires single-character atom names."""
-    for a in spec.diversity_atoms:
-        if len(a.name) != 1:
-            raise SpecError(f"atom name {a.name!r} cannot be written in the spec file format")
-    lines = []
-    if spec.label:
-        lines.append(f"name: {spec.label}")
-    lines.append("atoms: " + " ".join(a.name for a in spec.diversity_atoms))
-    lines.append("cycles: " + " ".join("".join(tri) for tri in spec.cycle_names()))
-    return "\n".join(lines) + "\n"

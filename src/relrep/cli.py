@@ -34,32 +34,7 @@ EXIT_REJECT = 1
 EXIT_ERROR = 2
 
 
-# -- group flags and partition files -----------------------------------------
-
-
-def parse_group_flag(text: str) -> GroupSpec:
-    """Group descriptors: ``z:N`` (cyclic), ``B^K`` (B repeated K times, e.g.
-    2^10 for elementary abelian), or ``N1xN2x...`` (explicit product)."""
-    text = text.strip()
-    try:
-        if text.startswith("z:"):
-            return GroupSpec.cyclic(int(text[2:]))
-        if "^" in text:
-            base, _, exp = text.partition("^")
-            return GroupSpec.power(int(base), int(exp))
-        if "x" in text:
-            return GroupSpec(tuple(int(p) for p in text.split("x")))
-        return GroupSpec.cyclic(int(text))
-    except ValueError as exc:
-        raise StructuralError(f"bad group descriptor {text!r}: {exc}") from None
-
-
-def format_group_flag(group: GroupSpec) -> str:
-    if group.rank == 1:
-        return f"z:{group.moduli[0]}"
-    if len(set(group.moduli)) == 1:
-        return f"{group.moduli[0]}^{group.rank}"
-    return "x".join(str(n) for n in group.moduli)
+# -- partition files -------------------------------------------------------------
 
 
 def _read_text(path) -> str:
@@ -85,16 +60,17 @@ def load_partition(path, group: GroupSpec | None = None,
         if line.startswith("group:"):
             if file_group is not None:
                 raise StructuralError(f"{path}:{lineno}: duplicate group directive")
-            file_group = parse_group_flag(line[len("group:"):])
+            try:
+                file_group = GroupSpec.parse(line[len("group:"):])
+            except ValueError as exc:
+                raise StructuralError(f"{path}:{lineno}: {exc}") from None
             continue
         parts = line.split()
         if len(parts) != 2:
             raise StructuralError(f"{path}:{lineno}: expected 'atom element', got {line!r}")
         rows.append((parts[0], parts[1]))
     if group is not None and file_group is not None and group != file_group:
-        raise StructuralError(
-            f"--group says {format_group_flag(group)} but {path} says "
-            f"{format_group_flag(file_group)}")
+        raise StructuralError(f"--group says {group} but {path} says {file_group}")
     group = group or file_group
     if group is None:
         raise StructuralError(f"{path} has no group directive; pass --group")
@@ -123,7 +99,7 @@ def load_partition(path, group: GroupSpec | None = None,
 
 
 def write_partition(part: ColoredPartition, path) -> None:
-    lines = [f"group: {format_group_flag(part.group)}"]
+    lines = [f"group: {part.group}"]
     for name in part.atom_names():
         for element in part.assignment[name]:
             lines.append(f"{name} {part.group.format_element(element)}")
@@ -169,12 +145,12 @@ def _cmd_show_algebra(args) -> tuple[dict, int]:
 
 def _cmd_verify_group_rep(args) -> tuple[dict, int]:
     spec = _load_spec(args.spec)
-    group = parse_group_flag(args.group) if args.group else None
+    group = GroupSpec.parse(args.group) if args.group else None
     part = load_partition(args.partition, group, spec)
     methods = _METHODS if args.method == "both" else (args.method,)
     reports, accepted = _verify(spec, part, methods, args.early_exit)
     return {"spec": spec.label,
-            "group": format_group_flag(part.group),
+            "group": str(part.group),
             "verdict": "accept" if accepted else "reject",
             "reports": reports}, EXIT_OK if accepted else EXIT_REJECT
 

@@ -78,8 +78,8 @@ def build_scheme(p: int, m: int, g: int | None = None) -> CosetScheme:
     the paper-style indexing of cosets; the cycle structure itself is
     generator-independent up to reindexing.
     """
-    cosets = cyclotomic_cosets(p, m, g)  # validates p prime, m | p-1, g primitive
-    generator = g if g is not None else primitive_root(p)
+    generator = primitive_root(p) if g is None else g
+    cosets = cyclotomic_cosets(p, m, generator)  # validates p prime, m | p-1, g primitive
     symmetric = all(c.is_symmetric for c in cosets)
     # -1 = g^((p-1)/2) lies in X_0 iff m divides (p-1)/2; all-or-nothing
     if symmetric != (((p - 1) // m) % 2 == 0 or p == 2):

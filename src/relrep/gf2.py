@@ -26,8 +26,11 @@ def default_threshold(k: int) -> int:
     """The weight cutoff t of the split at dimension k: floor(2(k-1)/3).
 
     No other t can pass the precheck, and this one passes exactly when
-    k = 1 (mod 3), k >= 4; `precheck` proves both.
+    k = 1 (mod 3), k >= 4; `precheck` proves both.  Below k = 3 the split has
+    no cutoff t >= 1, so those dimensions are refused here.
     """
+    if k < 3:
+        raise ValueError(f"dimension k = {k} must be at least 3")
     return 2 * (k - 1) // 3
 
 
@@ -166,7 +169,6 @@ class BasisState:
 @dataclass(frozen=True)
 class ExtensionRejected:
     reason: str  # "dependent" | "escapes_allowed"
-    offending: int | None = None  # span element h with h + v outside allowed
 
 
 def initial_state(group: GroupSpec, allowed: ElementSet) -> BasisState:
@@ -195,8 +197,7 @@ def extend_basis(state: BasisState, v: int) -> BasisState | ExtensionRejected:
     # every element of span + v is nonzero here: 0 would need v itself in span
     escaped = shifted & ~state.allowed.mask
     if escaped.any():
-        bad = int(np.flatnonzero(escaped)[0])
-        return ExtensionRejected("escapes_allowed", state.group.sub(bad, v))
+        return ExtensionRejected("escapes_allowed")
     new_mask = state.span_mask | shifted
     new_mask.setflags(write=False)
     # H' = H | (H + v), so H' + D = (H + D) | (H + D + v) for D = {0} | G \ allowed
@@ -289,8 +290,7 @@ class SearchConfig:
     initial_elements: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k < 3:  # from k = 3 on the split's cutoff t is at least 1
-            raise ValueError(f"dimension k = {self.k} must be at least 3")
+        default_threshold(self.k)  # refuses k < 3
         if self.target_order is not None:
             m = self.target_order
             if m < 1 or (m & (m - 1)) or m > (1 << self.k):

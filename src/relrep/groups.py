@@ -108,12 +108,32 @@ class GroupSpec:
     def __repr__(self) -> str:
         return f"GroupSpec({self.moduli!r})"
 
-    def describe(self) -> str:
+    # -- the group descriptor ---------------------------------------------
+
+    @classmethod
+    def parse(cls, text: str) -> "GroupSpec":
+        """Read a descriptor: ``z:N`` (cyclic), ``B^K`` (Z/B repeated K times, e.g.
+        ``2^10``), ``N1xN2x...`` (explicit product), or a bare ``N`` for ``z:N``."""
+        text = text.strip()
+        try:
+            if text.startswith("z:"):
+                return cls.cyclic(int(text[2:]))
+            if "^" in text:
+                base, _, exp = text.partition("^")
+                return cls.power(int(base), int(exp))
+            if "x" in text:
+                return cls(tuple(int(p) for p in text.split("x")))
+            return cls.cyclic(int(text))
+        except ValueError as exc:
+            raise ValueError(f"bad group descriptor {text!r}: {exc}") from None
+
+    def __str__(self) -> str:
+        """The descriptor that :meth:`parse` reads back: ``z:N``, ``B^K`` or ``N1xN2x...``."""
         if self.rank == 1:
-            return f"Z/{self.moduli[0]}"
+            return f"z:{self.moduli[0]}"
         if len(set(self.moduli)) == 1:
-            return f"(Z/{self.moduli[0]})^{self.rank}"
-        return " x ".join(f"Z/{n}" for n in self.moduli)
+            return f"{self.moduli[0]}^{self.rank}"
+        return "x".join(str(n) for n in self.moduli)
 
     # -- scalar element arithmetic ------------------------------------
 
@@ -145,9 +165,6 @@ class GroupSpec:
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- vectorized internals ------------------------------------------
 
@@ -208,7 +225,7 @@ class GroupSpec:
             raise ValueError(f"expected {self.rank} comma-separated coordinates, got {text!r}")
         coords = [int(p) for p in parts]
         if any(not 0 <= c < n for c, n in zip(coords, self.moduli)):
-            raise ValueError(f"coordinates {text!r} out of range for {self.describe()}")
+            raise ValueError(f"coordinates {text!r} out of range for {self}")
         return self.encode(coords)
 
 
@@ -279,7 +296,7 @@ class ElementSet:
     __hash__ = None  # mask-based identity; not for dict keys
 
     def __repr__(self) -> str:
-        return f"<ElementSet of {self.group.describe()}, size {self._size}>"
+        return f"<ElementSet of {self.group}, size {self._size}>"
 
     def _binary(self, other: "ElementSet", op) -> "ElementSet":
         if not isinstance(other, ElementSet):
@@ -410,7 +427,6 @@ def sumset_reference(left: ElementSet, right: ElementSet) -> ElementSet:
 
 @dataclass(frozen=True)
 class Subgroup:
-    generators: tuple[int, ...]
     elements: ElementSet
 
     @property
@@ -420,11 +436,10 @@ class Subgroup:
 
 def span(group: GroupSpec, generators: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators, computed by closure."""
-    gens = tuple(group.check_element(v) for v in generators)
     mask = np.zeros(group.order, dtype=bool)
     mask[0] = True
     members = group._indices[:1]
-    for gen in gens:
+    for gen in map(group.check_element, generators):
         # members is a subgroup H; H + <gen> is the disjoint union of the
         # cosets H + j*gen over the multiples j*gen before the first in H
         reps = [0]
@@ -434,7 +449,7 @@ def span(group: GroupSpec, generators: Iterable[int]) -> Subgroup:
             step = group.add(step, gen)
         members = group._index_sub(members[:, None], group._negation_perm[reps]).ravel()
         mask[members] = True
-    return Subgroup(gens, ElementSet._wrap(group, mask))
+    return Subgroup(ElementSet._wrap(group, mask))
 
 
 def is_primitive_root(g: int, p: int) -> bool:
@@ -450,19 +465,17 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if is_primitive_root(g, p))
 
 
-def cyclotomic_cosets(p: int, m: int, g: int | None = None) -> list[ElementSet]:
+def cyclotomic_cosets(p: int, m: int, g: int) -> list[ElementSet]:
     """The m classes X_i = {g^(a*m + i)} of the multiplicative group mod p.
 
     X_0 is the index-m subgroup of (Z/pZ)^x and the others are its cosets;
-    together they partition {1, ..., p-1}.
+    together they partition {1, ..., p-1}.  g must be a primitive root mod p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1 or (p - 1) % m != 0:
         raise ValueError(f"{m} does not divide p - 1 = {p - 1}")
-    if g is None:
-        g = primitive_root(p)
-    elif not is_primitive_root(g, p):
+    if not is_primitive_root(g, p):
         raise ValueError(f"{g} is not a primitive root mod {p}")
     group = GroupSpec.cyclic(p)
     # per element, each coset's mask and kept FFT spectrum, and one sumset's

@@ -201,7 +201,7 @@ class ColoredPartition:
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{n}:{len(s)}" for n, s in sorted(self.assignment.items()))
-        return f"<ColoredPartition over {self.group.describe()} [{sizes}]>"
+        return f"<ColoredPartition over {self.group} [{sizes}]>"
 
 
 class EdgeColoring:
@@ -259,9 +259,6 @@ class EdgeColoring:
             return self.atom_names.index(name)
         except ValueError:
             raise StructuralError(f"coloring has no atom {name!r}") from None
-
-    def atom_mask(self, name: str) -> np.ndarray:
-        return self.colors == self.atom_code(name)
 
 
 def _row_blocks(n: int) -> list[slice]:

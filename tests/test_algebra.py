@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relrep import (RaSpec, SpecError, builtin, builtin_52_65, builtin_59_65,
-                    format_spec, parse_spec)
+                    parse_spec)
 
 ALL_MULTISETS = [tuple(sorted(t))
                  for t in combinations_with_replacement("abc", 3)]
@@ -108,14 +108,6 @@ def test_required_profiles(spec_name, pair, expected, zero):
 def test_parse_round_trips_builtins(fixtures_dir):
     assert parse_spec((fixtures_dir / "ra52_65.txt").read_text()) == builtin_52_65()
     assert parse_spec((fixtures_dir / "ra59_65.txt").read_text()) == builtin_59_65()
-
-
-def test_format_parse_round_trip():
-    for make in (builtin_52_65, builtin_59_65):
-        spec = make()
-        again = parse_spec(format_spec(spec))
-        assert again == spec
-        assert again.label == spec.label
 
 
 def test_parse_empty_cycle_list_forbids_everything():

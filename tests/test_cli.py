@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import pytest
@@ -13,8 +14,8 @@ import peak_rss
 from relrep import GroupSpec, StructuralError
 import relrep.groups
 from relrep import cli
-from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, format_group_flag,
-                        load_partition, main, parse_group_flag, write_partition)
+from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_partition, main,
+                        write_partition)
 
 PINNED = REPO_ROOT / "tests" / "pinned"
 
@@ -30,21 +31,7 @@ def run_json(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None), err
 
 
-# -- group flags and partition files ----------------------------------------------
-
-
-def test_parse_group_flag_forms():
-    assert parse_group_flag("z:113") == GroupSpec.cyclic(113)
-    assert parse_group_flag("2^10") == GroupSpec.power(2, 10)
-    assert parse_group_flag("3x4x5") == GroupSpec((3, 4, 5))
-    assert parse_group_flag("7") == GroupSpec.cyclic(7)
-    with pytest.raises(StructuralError):
-        parse_group_flag("z:abc")
-
-
-def test_group_flag_round_trip():
-    for flag in ("z:113", "2^10", "3x4x5"):
-        assert format_group_flag(parse_group_flag(flag)) == flag
+# -- partition files ------------------------------------------------------------
 
 
 def test_load_partition_round_trip(tmp_path):
@@ -72,6 +59,21 @@ def test_load_partition_structural_errors(tmp_path, body, fragment):
     path.write_text(body)
     with pytest.raises(StructuralError, match=fragment):
         load_partition(path)
+
+
+@pytest.mark.parametrize("descriptor", ["z:abc", "2^", "3x", "z:1"])
+def test_bad_group_directive_names_its_line(tmp_path, descriptor):
+    path = tmp_path / "part.txt"
+    path.write_text(f"# header\ngroup: {descriptor}\nb 1\n")
+    with pytest.raises(StructuralError, match=re.escape(f"{path}:2: bad group descriptor")):
+        load_partition(path)
+
+
+def test_bad_group_flag_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify-group-rep", str(FIXTURES / "comer113_partition.txt"),
+                             "--spec", "59_65", "--group", "z:abc")
+    assert code == EXIT_ERROR and not out
+    assert "bad group descriptor 'z:abc'" in err
 
 
 def test_load_partition_group_conflict(tmp_path):
@@ -388,6 +390,15 @@ def test_search_gf2_refuses_k_below_3_by_its_dimension(capsys):
     code, out, err = run_cli(capsys, "search-gf2", "--k", "2", "--seed", "1")
     assert code == EXIT_ERROR and not out
     assert "k = 2" in err and "threshold" not in err
+
+
+@pytest.mark.parametrize("bits", ["1", "11"])
+def test_validate_fixture_refuses_k_below_3_by_its_dimension(capsys, tmp_path, bits):
+    path = tmp_path / "short.txt"
+    path.write_text(bits + "\n")
+    code, out, err = run_cli(capsys, "validate-fixture", str(path))
+    assert code == EXIT_ERROR and not out
+    assert f"dimension k = {len(bits)} must be at least 3" in err
 
 
 def test_search_gf2_has_no_time_budget_option(capsys):

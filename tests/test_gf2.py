@@ -127,7 +127,7 @@ def test_extend_rejects_vectors_leaving_the_shell():
     rejected = extend_basis(state, v)
     assert isinstance(rejected, ExtensionRejected)
     assert rejected.reason == "escapes_allowed"
-    assert rejected.offending == h  # h + v has weight 7
+    assert group.format_element(group.add(h, v)).count("1") == 7  # outside weights 1..6
 
 
 def test_extend_raises_on_candidates_outside_the_shell():

@@ -44,6 +44,34 @@ def test_constructor_validation():
         GroupSpec.cyclic(1 << 25)
 
 
+# every group the descriptor names: cyclic, (Z/B)^K, and explicit products
+_groups = st.one_of(
+    st.integers(2, 10**6).map(GroupSpec.cyclic),
+    st.builds(GroupSpec.power, st.integers(2, 9), st.integers(1, 6)),
+    st.lists(st.integers(2, 9), min_size=2, max_size=5).map(GroupSpec))
+
+
+@given(_groups)
+def test_descriptor_round_trips(g):
+    assert GroupSpec.parse(str(g)) == g
+
+
+def test_descriptor_forms():
+    assert GroupSpec.parse("z:113") == GroupSpec.cyclic(113)
+    assert GroupSpec.parse("2^10") == GroupSpec.power(2, 10)
+    assert GroupSpec.parse("3x4x5") == GroupSpec((3, 4, 5))
+    assert GroupSpec.parse(" 7 ") == GroupSpec.cyclic(7)  # a bare N is z:N
+    assert [str(GroupSpec.parse(d)) for d in ("z:113", "2^10", "3x4x5", "7", "3x3")] == [
+        "z:113", "2^10", "3x4x5", "z:7", "3^2"]
+
+
+@pytest.mark.parametrize("text", ["", "z:", "z:abc", "z:1", "2^", "^3", "2^0", "2^x",
+                                  "3x", "x4", "3x1", "3xx4", "Z/113", "abc"])
+def test_malformed_descriptors_raise_value_error(text):
+    with pytest.raises(ValueError, match="bad group descriptor"):
+        GroupSpec.parse(text)
+
+
 def test_scalar_arithmetic_examples():
     g = GroupSpec.cyclic(113)
     assert g.add(50, 63) == 0
@@ -321,7 +349,7 @@ def test_sumset_matches_translation_union_on_larger_groups(moduli):
 def test_difference_rows_match_scalar_subtraction(moduli):
     g = GroupSpec(moduli)
     for start, stop in ((0, g.order), (1, 4), (g.order - 2, g.order)):
-        expected = [[g.sub(y, x) for y in g.elements()] for x in range(start, stop)]
+        expected = [[g.sub(y, x) for y in range(g.order)] for x in range(start, stop)]
         assert g.difference_rows(start, stop).tolist() == expected
 
 
@@ -445,19 +473,19 @@ def test_cyclotomic_cosets_113():
 
 
 def test_cyclotomic_cosets_edge_cases():
-    assert list(cyclotomic_cosets(7, 1)[0]) == [1, 2, 3, 4, 5, 6]
+    assert list(cyclotomic_cosets(7, 1, 3)[0]) == [1, 2, 3, 4, 5, 6]
     with pytest.raises(ValueError):
-        cyclotomic_cosets(113, 9)
+        cyclotomic_cosets(113, 9, 3)
     with pytest.raises(ValueError):
         cyclotomic_cosets(113, 8, g=2)
     with pytest.raises(ValueError):
-        cyclotomic_cosets(112, 8)
+        cyclotomic_cosets(112, 8, 3)
 
 
 def test_coset_stability_under_subgroup_action():
     # multiplying X_i by any element of X_0 permutes X_i onto itself
     p, m = 13, 4
-    cosets = cyclotomic_cosets(p, m)
+    cosets = cyclotomic_cosets(p, m, 2)
     for u in cosets[0]:
         for c in cosets:
             assert {x * u % p for x in c} == set(c)
@@ -465,7 +493,7 @@ def test_coset_stability_under_subgroup_action():
 
 def test_sumsets_of_cosets_are_coset_saturated():
     p, m = 13, 4
-    cosets = cyclotomic_cosets(p, m)
+    cosets = cyclotomic_cosets(p, m, 2)
     for j in range(m):
         for k in range(m):
             s = sumset(cosets[j], cosets[k])

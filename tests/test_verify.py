@@ -238,7 +238,7 @@ def test_cayley_coloring_matches_scalar_differences(moduli, monkeypatch):
     code_of = {x: col.atom_names.index(name)
                for name, es in part.assignment.items() for x in es}
     code_of[0] = 0
-    expected = [[code_of[g.sub(y, x)] for y in g.elements()] for x in g.elements()]
+    expected = [[code_of[g.sub(y, x)] for y in range(g.order)] for x in range(g.order)]
     assert col.colors.tolist() == expected
 
 
@@ -450,7 +450,7 @@ def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
     coloring = cayley_coloring(part)
     n = coloring.point_count
     monkeypatch.setattr(relrep.verify, "_WITNESS_TILE_CELLS", 32 * n)  # 16 x 16 tiles
-    a, b = coloring.atom_mask("a"), coloring.atom_mask("b")
+    a, b = (coloring.colors == coloring.atom_code(n) for n in ("a", "b"))
     # the bool reach is 1 B/cell and the tiles 0.5; a float32 copy of one
     # operand would add 4
     assert _traced_peak(lambda: _witness_reach(a, b)) < 2 * n * n
@@ -496,7 +496,7 @@ def _pairwise_bruteforce(spec, coloring, early_exit, max_recorded):
     of the products that verify_bruteforce derives from the others."""
     names = [a.name for a in spec.diversity_atoms]
     report = VerificationReport("bruteforce", early_exit, max_recorded)
-    masks = {n: coloring.atom_mask(n) for n in names}
+    masks = {n: coloring.colors == coloring.atom_code(n) for n in names}
     empty = [n for n in names if not masks[n].any()]
     report.record(EMPTY_ATOM, None, empty, len(empty))
     for j, k, profile, include_zero in spec.pair_profiles():
