@@ -24,7 +24,7 @@ from pathlib import Path
 from .algebra import RaSpec, builtin, content_lines, parse_spec
 from .comer import build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
-from .groups import ElementSet, GroupSpec, check_memory
+from .groups import ElementSet, GroupSpec, MemoryGuardError, check_memory
 from .johnson import mc_trial, minimal_sufficient_n, probability_bound
 from .verify import (ColoredPartition, StructuralError, cayley_coloring,
                      check_coloring_memory, verify_bruteforce, verify_sumsets)
@@ -64,6 +64,8 @@ def load_partition(path, group: GroupSpec | None = None,
                 file_group = GroupSpec.parse(line[len("group:"):])
             except ValueError as exc:
                 raise StructuralError(f"{path}:{lineno}: {exc}") from None
+            except MemoryGuardError as exc:
+                raise MemoryGuardError(f"{path}:{lineno}: {exc.detail}") from None
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -30,13 +30,21 @@ _WHT_EXACT_ORDER = 1 << 26
 
 
 class MemoryGuardError(MemoryError):
-    """Work refused before allocating, because it would exceed MEMORY_BUDGET."""
+    """Work refused before allocating, because it would exceed MEMORY_BUDGET.
+
+    Its message is "memory guard: " and then ``detail``, which a caller may
+    re-raise with its own context in front.
+    """
+
+    def __init__(self, detail: str):
+        super().__init__(f"memory guard: {detail}")
+        self.detail = detail
 
 
 def check_memory(need: int, what: str) -> None:
     """Refuse work charged ``need`` bytes over MEMORY_BUDGET; the one resource refusal."""
     if need > MEMORY_BUDGET:
-        raise MemoryGuardError(f"memory guard: {what} needs about {need} bytes, "
+        raise MemoryGuardError(f"{what} needs about {need} bytes, "
                                f"over the {MEMORY_BUDGET}-byte budget")
 
 

@@ -26,10 +26,13 @@ EMPTY_ATOM = "empty_atom"
 
 DEFAULT_VIOLATION_CAP = 100
 
-# float32 holds every integer below 2^24 exactly and a witness count is at most
-# the number of points, so a float32 product of 0/1 matrices counts witnesses
-# exactly below 2^24 points.  The memory guard keeps colorings far smaller.
-_FLOAT32_EXACT_POINTS = 1 << 24
+# float32 holds every integer below 2^24 exactly (its mantissa width) and a
+# witness count is below the number of points, so a float32 product of 0/1
+# matrices counts witnesses exactly below 2^24 points.  The memory guard keeps
+# colorings far smaller.  _packed_digits reads the width when called, so a
+# test may narrow it to switch packing off; the point limit is fixed here.
+_FLOAT32_MANTISSA_BITS = 24
+_FLOAT32_EXACT_POINTS = 1 << _FLOAT32_MANTISSA_BITS
 
 # A remainder of verify_bruteforce lies between 0 and an atom's degree, which is
 # below the number of points, so uint16 remainders are exact below 2^16 points.
@@ -65,7 +68,7 @@ class StructuralError(ValueError):
 
 def check_coloring_memory(points: int, atoms: int) -> None:
     """Charge building and brute-force verifying an N-point, A-atom coloring: N^2 (2 A + 4)
-    bytes, fitted to peak RSS (the colors, A - 1 uint16 remainders and one bool reach)."""
+    bytes, fitted to peak RSS (the colors, A - 1 uint16 remainders and one uint8 reach)."""
     check_memory(points * points * (2 * atoms + 4),
                  f"building and verifying a {points}-point coloring with {atoms} atoms")
 
@@ -312,6 +315,74 @@ def _witness_tiles(left, right, n: int, symmetric: bool, buffers=None):
                 yield cols, rows, counts.T
 
 
+def _digit_width(n: int) -> int:
+    """Bits of one digit of a packed witness count over n points: every count is below n."""
+    return max(1, (n - 1).bit_length())
+
+
+def _packed_digits(n: int, pairs: int) -> int:
+    """Witness pairs counted by one float32 product over n points, given ``pairs``
+    that share its left atom: as many digits as the mantissa holds, at least 1.
+
+    Each digit is a count below 2^s, s = _digit_width(n), so D digits sum below
+    2^(D s) and every partial sum of the product is an exact float32 integer
+    while D s <= 24: 2 digits up to 4096 points, 3 up to 256.  Each digit's
+    reach is one bit of a reach byte, so there are at most 8.
+    """
+    return min(pairs, 8, max(1, _FLOAT32_MANTISSA_BITS // _digit_width(n)))
+
+
+def _spare(tile: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The first cells of a contiguous buffer, viewed with the shape of like."""
+    return tile.reshape(-1)[:like.size].reshape(like.shape)
+
+
+def _reach_bits(counts: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 digits: int, width: int) -> None:
+    """Write bit d of the uint8 reach ``out`` where digit d of the packed counts
+    is nonzero, through a float32 ``scratch`` of their shape; counts are kept.
+
+    Digit 0 is nonzero where the counts, read as int32, are not 0 mod 2^s, and
+    the top digit where counts >= 2^((D - 1) s).  Digits between them exist
+    only below 257 points (3 digits or more), where temporaries are small.
+    """
+    if digits == 1:
+        np.greater(counts, 0, out=out)
+        return
+    low = scratch.view(np.int32)
+    np.copyto(low, counts, casting="unsafe")
+    np.bitwise_and(low, (1 << width) - 1, out=low)
+    np.greater(low, 0, out=out)
+    bit = _spare(scratch.view(np.uint8), out)  # the int32 digit 0 is read by now
+    for d in range(1, digits):
+        if d == digits - 1:
+            np.greater_equal(counts, 1 << d * width, out=bit)
+        else:
+            np.greater(counts.astype(np.int32) >> d * width & (1 << width) - 1, 0, out=bit)
+        np.multiply(bit, 1 << d, out=bit)
+        np.bitwise_or(out, bit, out=out)
+
+
+def _split_digits(counts: np.ndarray, scratch: np.ndarray, digits: int, width: int):
+    """Yield (d, digit d) of the packed float32 counts, the highest first.
+
+    Consumes the counts: the rest below a digit is held as int32 in the float32
+    ``scratch`` of their shape, and each digit but the last is written over the
+    counts, so a digit is valid until the next is drawn.  One digit is the
+    counts themselves.
+    """
+    if digits == 1:
+        yield 0, counts
+        return
+    rest = scratch.view(np.int32)
+    np.copyto(rest, counts, casting="unsafe")
+    for d in reversed(range(1, digits)):
+        np.right_shift(rest, d * width, out=counts, casting="unsafe")
+        yield d, counts
+        np.bitwise_and(rest, (1 << d * width) - 1, out=rest)
+    yield 0, rest
+
+
 def _degrees(colors: np.ndarray, codes: Sequence[int]) -> np.ndarray:
     """Each code's row counts in a symmetric coloring (its points' degrees), as uint16 rows.
 
@@ -438,8 +509,9 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     cycles need no check: z = x or z = y witnesses them on any well-formed
     coloring.
 
-    Only the products of two atoms before the last atom L (in spec order) are
-    float32 matrix products: A(A - 1)/2 of them for A atoms, not A(A + 1)/2.
+    Only the pairs of two atoms before the last atom L (in spec order) are
+    counted by float32 matrix products: A(A - 1)/2 pairs for A atoms, not
+    A(A + 1)/2.
     A validated coloring gives each off-diagonal edge exactly one diversity
     atom and each diagonal point the identity, so the diversity atoms sum to
     J - I.  Hence sum_k A_j A_k = deg_j(x) - A_j by rows and
@@ -451,13 +523,23 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
       R_k transposed (A_k A_j is its transpose);
     - A_L A_L = deg_L(y) - A_L - sum_{j != L} R_j.
 
+    Consecutive pairs (j, k), (j, k + 1), ... before L share one product
+    A_j (A_k + 2^s A_{k+1} + ...)^T: every count is below N <= 2^s, so each
+    pair's counts are one base-2^s digit of the float32 sums, exact while the
+    digits fit the mantissa (``_packed_digits``: two up to 4096 points, so 2
+    products instead of 3 at three atoms).  An unpaired A_j A_j is symmetric,
+    so only its upper tiles are multiplied.
+
     No 0/1 matrix of an atom is held: every pass reads atom i as
     ``colors == code_i``, a product by its float32 operand tiles and every
-    other pass by row blocks.  A call holds the uint16 remainders, one bool
-    reach that every pair reuses, and buffers of fixed size.  A pair is
-    checked by counts: hits_i, the reached edges of atom i, makes a MISSING
-    total |A_i| - hits_i and a FORBIDDEN total hits_i, and the violating
-    edges are found again, block by block, only while the report has room.
+    other pass by row blocks.  A call holds the uint16 remainders, one uint8
+    reach that every pair reuses, and buffers of fixed size.  Bit 0 of the
+    reach is the pair being checked; bit d holds the reach of the pair d
+    places further in the same product, shifted down as the walk reaches it.
+    A pair is checked by counts: hits_i, the reached edges of atom i, makes a
+    MISSING total |A_i| - hits_i and a FORBIDDEN total hits_i, and the
+    violating edges are found again, block by block, only while the report
+    has room.
     """
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
@@ -473,12 +555,23 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     stack = np.empty((len(names[:-1]), n, n), dtype=np.uint16)
     remainders = dict(zip(names[:-1], stack))
     filled = set()
-    reach = np.empty((n, n), dtype=bool)
+    reach = np.empty((n, n), dtype=np.uint8)
     blocks = _row_blocks(n)
     # One row block of one atom, shared: each generator of violating edges that
     # reads it is drained by report.record before it is written again.
     flags = np.empty((blocks[0].stop, n), dtype=bool)
+    flag_bytes = flags.view(np.uint8)
     tiles = _tile_buffers(n)
+    width = _digit_width(n)
+    # The product of each pair (j, k) with k before L: the atoms ks whose pairs
+    # with j it counts, and the digit d of (j, k) in it.
+    products = {}
+    for at, j in enumerate(names[:-1]):
+        ks = names[at:-1]
+        step = _packed_digits(n, len(ks))
+        for first in range(0, len(ks), step):
+            chunk = tuple(ks[first:first + step])
+            products.update(((j, k), (chunk, d)) for d, k in enumerate(chunk))
 
     empty = [name for name in names if sizes[name] == 0]
     report.record(EMPTY_ATOM, None, empty, len(empty))
@@ -488,10 +581,27 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
         out = flags[:rows.stop - rows.start] if out is None else out
         return np.equal(colors[rows], code[name], out=out)
 
+    def packed_rows(ks: tuple[str, ...], rows: slice, out: np.ndarray) -> np.ndarray:
+        """sum_d 2^(d s) A_{ks[d]} at rows, written into the float32 out by
+        Horner's rule, one shared row block at a time."""
+        for start in range(rows.start, rows.stop, len(flags)):
+            part = slice(start, min(start + len(flags), rows.stop))
+            digits = out[start - rows.start:part.stop - rows.start]
+            atom_rows(ks[-1], part, digits)
+            for k in reversed(ks[:-1]):
+                digits *= 1 << width
+                digits += atom_rows(k, part)
+        return out
+
     def edges_in(name: str, rows: slice, reached: bool) -> np.ndarray:
-        """The edges of the atom in rows that the reach holds (or, if not reached, misses)."""
+        """The edges of the atom in rows that bit 0 of the reach holds (or, if
+        not reached, misses)."""
         hit = atom_rows(name, rows)
-        return (np.logical_and if reached else np.greater)(hit, reach[rows], out=hit)
+        if not reached:
+            return np.greater(hit, reach[rows] & 1, out=hit)
+        hit_bytes = flag_bytes[:len(hit)]
+        np.bitwise_and(hit_bytes, reach[rows], out=hit_bytes)
+        return hit
 
     def edges(name: str, reached: bool):
         """(x, y) of each such edge in all rows, lazily, in row-major order."""
@@ -516,27 +626,31 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
                 np.subtract(degrees[name][rows, None], atom_rows(name, rows), out=rest[rows])
         return rest
 
-    def subtract(j: str, k: str, rows: slice, cols: slice, counts: np.ndarray) -> None:
-        """Drain the counts of A_j A_k at (rows, cols) into R_j, and into R_k transposed."""
-        target = remainder(j)[rows, cols]
-        np.subtract(target, counts, out=target, casting="unsafe")
-        if k != j:
-            _subtract_transposed(remainder(k)[cols, rows], counts)
+    def drain(j: str, ks: tuple[str, ...], rows: slice, cols: slice, counts) -> None:
+        """Drain digit d of the counts at (rows, cols), A_j A_{ks[d]}, into R_j,
+        and into R_{ks[d]} transposed unless ks[d] is j; consumes the counts.
+        The right operand tile, free once its counts are drawn, is the scratch."""
+        for d, digit in _split_digits(counts, _spare(tiles[1], counts), len(ks), width):
+            target = remainder(j)[rows, cols]
+            np.subtract(target, digit, out=target, casting="unsafe")
+            if ks[d] != j:
+                _subtract_transposed(remainder(ks[d])[cols, rows], digit)
 
-    def product(j: str, k: str):
-        """Write the witness reach of (j, k); return its counts if still to subtract.
+    def product(j: str, ks: tuple[str, ...]):
+        """Write the witness reach of the pairs (j, k), k in ks, as bits of the
+        reach; return the counts if still to drain.
 
-        A product of several tiles is subtracted tile by tile; A_j A_j is
-        symmetric, so only its upper tiles are multiplied.  A product of one
-        tile is returned whole and subtracted only once the pair is checked,
+        A product of several tiles is drained tile by tile.  A product of one
+        tile is returned whole and drained only once its pairs are checked,
         so a pair that ends an early-exit walk costs no upkeep.
         """
-        for rows, cols, counts in _witness_tiles(partial(atom_rows, j), partial(atom_rows, k), n,
-                                                 j == k, tiles):
-            np.greater(counts, 0, out=reach[rows, cols])
+        right = partial(packed_rows, ks) if len(ks) > 1 else partial(atom_rows, ks[0])
+        for rows, cols, counts in _witness_tiles(partial(atom_rows, j), right, n,
+                                                 ks == (j,), tiles):
+            _reach_bits(counts, reach[rows, cols], _spare(tiles[1], counts), len(ks), width)
             if counts.size == reach.size:
                 return counts
-            subtract(j, k, rows, cols, counts)
+            drain(j, ks, rows, cols, counts)
         return None
 
     def last_pair() -> None:
@@ -554,12 +668,15 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             np.subtract(degrees[last], counts, out=counts)
             np.greater(counts, 0, out=reach[rows])
 
+    pending = None
     for j, k, profile_names, include_zero in spec.pair_profiles():
         if report.stopped:
             break
-        pending = None
-        if k != last:
-            pending = product(j, k)
+        ks, d = products.get((j, k), ((), 0))
+        if d:
+            np.right_shift(reach, 1, out=reach)
+        elif ks:
+            pending = product(j, ks)
         elif j != last:
             np.greater(remainders[j], 0, out=reach)
         else:
@@ -569,7 +686,7 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             for i in names:
                 hits[i] += int(np.count_nonzero(edges_in(i, rows, True)))
         actual_atoms = tuple(i for i in names if hits[i])
-        has_zero = bool(np.diagonal(reach).any())
+        has_zero = bool((reach.diagonal() & 1).any())
         before = report.violation_count
         for i in names:
             if report.stopped:
@@ -585,8 +702,9 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
             report.record(MISSING_WITNESS, (IDENTITY, j, k), ["(diagonal)"], 1)
         report.pair_checks.append(PairCheck(j, k, profile_names, include_zero, actual_atoms,
                                             has_zero, report.violation_count == before))
-        if pending is not None and not report.stopped:
-            subtract(j, k, slice(None), slice(None), pending)
+        if pending is not None and d == len(ks) - 1 and not report.stopped:
+            drain(j, ks, slice(None), slice(None), pending)
+            pending = None
     return report
 
 

@@ -1,0 +1,78 @@
+"""Time the first brute-force witness products of fresh processes.
+
+    PYTHONPATH=src python3 tests/first_products.py [PROCESSES]
+
+Each of PROCESSES fresh interpreters (default 12), started one after another,
+builds three seeded colorings: a random 3-atom partition of Z/113 (113
+points), a Johnson n = 5 trial (462 points) and a random 3-atom partition of
+(Z/2)^10 (1024 points).  It times ``verify_bruteforce`` against 52_65 over
+the whole pair walk on each, smallest first, once cold (the process's first
+BLAS products of that size) and then once warm.  One line per size lists the
+cold and then the warm milliseconds of every process, sorted, so a stall in
+some processes shows as a second cluster.  The environment passes through,
+so ``OPENBLAS_NUM_THREADS=1`` in front of the command times one-thread BLAS.
+A script, not a test: it only measures.
+"""
+
+import json
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+SIZES = ("Z/113", "Johnson n=5", "(Z/2)^10")
+
+
+def _colorings():
+    from relrep import (ColoredPartition, ElementSet, GroupSpec, JohnsonUniverse,
+                        cayley_coloring, partition_coloring, random_equitable_partition)
+
+    def random_partition(group, seed):
+        rng = np.random.default_rng(seed)
+        buckets = {name: [] for name in "abc"}
+        for x in range(1, group.order):
+            if x <= group.neg(x):
+                pick = buckets["abc"[rng.integers(3)]]
+                pick += sorted({x, group.neg(x)})
+        return ColoredPartition(group, {name: ElementSet.from_indices(group, members)
+                                        for name, members in buckets.items()})
+
+    universe = JohnsonUniverse(5)
+    return [cayley_coloring(random_partition(GroupSpec.cyclic(113), 1)),
+            partition_coloring(universe, random_equitable_partition(universe, 1)),
+            cayley_coloring(random_partition(GroupSpec.power(2, 10), 1))]
+
+
+def child() -> None:
+    """Print [cold ms, warm ms] for each size, as JSON."""
+    from relrep import builtin_52_65, verify_bruteforce
+
+    spec, timings = builtin_52_65(), []
+    for coloring in _colorings():
+        calls = []
+        for _ in range(2):
+            start = time.perf_counter()
+            verify_bruteforce(spec, coloring, early_exit=False)
+            calls.append((time.perf_counter() - start) * 1e3)
+        timings.append(calls)
+    print(json.dumps(timings))
+
+
+def run(processes: int) -> list[str]:
+    runs = [json.loads(subprocess.run([sys.executable, __file__, "--child"], check=True,
+                                      capture_output=True, text=True).stdout)
+            for _ in range(processes)]
+    lines = []
+    for size, per_process in zip(SIZES, zip(*runs)):
+        cold, warm = (" ".join(f"{ms:.1f}" for ms in sorted(calls))
+                      for calls in zip(*per_process))
+        lines.append(f"{size}: cold ms {cold}; warm ms {warm}")
+    return lines
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--child"]:
+        child()
+    else:
+        print("\n".join(run(int(sys.argv[1]) if len(sys.argv) > 1 else 12)))

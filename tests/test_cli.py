@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import time
 
@@ -253,6 +254,30 @@ def test_verify_group_rep_json_bytes_pinned(capsys, name, spec, mode):
     assert out == (PINNED / f"verify_group_rep_{name}_{spec}_{mode}.json").read_text()
 
 
+def _random_gf2_partition_text(k: int, seed: int) -> str:
+    """A seeded 3-atom partition of (Z/2)^k: each nonzero element, its own
+    negative, gets a, b or c."""
+    rng = random.Random(seed)
+    lines = [f"group: 2^{k}"] + [f"{rng.choice('abc')} {x:0{k}b}" for x in range(1, 1 << k)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k,mode", [
+    (10, "early"),  # the reject stops in the one-tile product of (a, a) and (a, b)
+    (10, "full"),
+    (11, "full"),  # 2048 points: products of several tiles
+])
+def test_verify_group_rep_random_gf2_json_bytes_pinned(capsys, tmp_path, k, mode):
+    path = tmp_path / "part.txt"
+    path.write_text(_random_gf2_partition_text(k, seed=1))
+    extra = ("--no-early-exit",) if mode == "full" else ()
+    code = main(["--format", "json", "verify-group-rep", str(path), "--spec", "52_65",
+                 "--method", "both", *extra])
+    assert code == EXIT_REJECT
+    assert capsys.readouterr().out == (
+        PINNED / f"verify_group_rep_gf2_{k}_seed1_52_65_{mode}.json").read_text()
+
+
 def test_verify_group_rep_structural_error_exits_2(capsys, tmp_path):
     path = tmp_path / "gap.txt"
     path.write_text("group: z:5\nb 1\nb 4\n")
@@ -447,6 +472,15 @@ def test_partition_file_over_the_memory_budget_exits_2(capsys, monkeypatch, tmp_
     code, out, err = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
     assert code == EXIT_ERROR and not out
     assert err.startswith("error: memory guard: parsing ")
+
+
+def test_group_directive_over_the_memory_budget_names_its_line(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("# header\ngroup: 2^40\na 1\n")
+    code, out, err = run_cli(capsys, "verify-group-rep", str(path), "--spec", "52_65")
+    assert code == EXIT_ERROR and not out
+    assert err.startswith(f"error: memory guard: {path}:2: ")
+    assert "order 1099511627776" in err
 
 
 def test_peak_rss_script_bounds_a_command(capsys):

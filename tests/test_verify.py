@@ -23,9 +23,10 @@ import relrep.verify
 from relrep.algebra import IDENTITY
 from relrep.groups import MemoryGuardError
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           PairCheck, VerificationReport, _degrees,
-                           _ROW_BLOCK_CELLS, _subtract_transposed, _true_cells,
-                           _witness_tiles, check_coloring_memory)
+                           PairCheck, VerificationReport, _degrees, _packed_digits,
+                           _reach_bits, _ROW_BLOCK_CELLS, _split_digits,
+                           _subtract_transposed, _true_cells, _witness_tiles,
+                           check_coloring_memory)
 
 
 def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.ndarray:
@@ -456,7 +457,7 @@ def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
     assert _traced_peak(lambda: _witness_reach(a, b)) < 2 * n * n
     assert _traced_peak(lambda: _witness_reach(a, a, symmetric=True)) < 2 * n * n
     # two uint16 remainders (the last pair's counts are summed into one of them)
-    # and the bool reach are 5 B/cell; at this size one row block is the whole
+    # and the uint8 reach are 5 B/cell; at this size one row block is the whole
     # matrix, so the checks' bool block and its temporaries add about 2, and
     # the tiles 0.5; a bool mask per atom would add 3, and a fresh N^2
     # temporary of a check 1 or 2
@@ -556,29 +557,87 @@ def _random_coloring(n: int, seed: int) -> EdgeColoring:
     return EdgeColoring(("1'", "a", "b", "c"), colors + colors.T)
 
 
-@settings(max_examples=150, deadline=None)
+# packing on (24 mantissa bits: up to 8 digits per product at these sizes) and
+# forced off (0 bits: one pair per product, as above 4096 points), 300
+# examples so that each gets about as many as one path got before packing
+@settings(max_examples=300, deadline=None)
 @given(case=_colorings(), tile=st.sampled_from(["cell", "ragged", "whole"]),
        block=st.sampled_from(["cell", "ragged", "whole"]),
-       early_exit=st.booleans(), max_recorded=st.sampled_from([0, 2, 100]))
-# fixed cases with violations in every row block
+       early_exit=st.booleans(), max_recorded=st.sampled_from([0, 2, 100]),
+       mantissa=st.sampled_from([24, 0]))
+# fixed cases with violations in every row block, on both paths
 @example(case=(builtin_52_65(), _random_coloring(50, 1)), tile="ragged", block="cell",
-         early_exit=False, max_recorded=100)
+         early_exit=False, max_recorded=100, mantissa=24)
+@example(case=(builtin_52_65(), _random_coloring(50, 1)), tile="ragged", block="cell",
+         early_exit=False, max_recorded=100, mantissa=0)
 @example(case=(builtin_59_65(), _random_coloring(50, 2)), tile="whole", block="ragged",
-         early_exit=False, max_recorded=100)
+         early_exit=False, max_recorded=100, mantissa=24)
+@example(case=(builtin_59_65(), _random_coloring(50, 2)), tile="whole", block="ragged",
+         early_exit=False, max_recorded=100, mantissa=0)
 @example(case=(builtin_52_65(), _random_coloring(50, 3)), tile="cell", block="ragged",
-         early_exit=True, max_recorded=2)
-def test_bruteforce_matches_pairwise_products(case, tile, block, early_exit, max_recorded):
+         early_exit=True, max_recorded=2, mantissa=24)
+@example(case=(builtin_52_65(), _random_coloring(50, 3)), tile="cell", block="ragged",
+         early_exit=True, max_recorded=2, mantissa=0)
+def test_bruteforce_matches_pairwise_products(case, tile, block, early_exit, max_recorded,
+                                               mantissa):
     spec, coloring = case
     n = coloring.point_count
     # square tiles of the products and row blocks of the checks: 1 wide, a
     # shorter last one, or the whole matrix
     side = {"cell": 1, "ragged": n // 2 + 1, "whole": n}
     with mock.patch.multiple(relrep.verify, _WITNESS_TILE_CELLS=side[tile] * n,
-                             _ROW_BLOCK_CELLS=side[block] * n):
+                             _ROW_BLOCK_CELLS=side[block] * n,
+                             _FLOAT32_MANTISSA_BITS=mantissa):
         report = verify_bruteforce(spec, coloring, early_exit=early_exit,
                                    max_recorded=max_recorded)
     oracle = _pairwise_bruteforce(spec, coloring, early_exit, max_recorded)
     assert report.to_dict() == oracle.to_dict()
+
+
+@pytest.mark.parametrize("n,pairs,digits", [
+    (4096, 2, 2), (4097, 2, 1),  # 12-bit digits fit twice, 13-bit ones once
+    (256, 3, 3), (256, 4, 3), (257, 3, 2),  # 8-bit digits fit three times
+    (1024, 1, 1), (8, 30, 8), (2, 30, 8),  # capped by the pairs and the reach byte
+])
+def test_digits_per_product(n, pairs, digits):
+    assert _packed_digits(n, pairs) == digits
+
+
+@pytest.mark.parametrize("digits,width", [(2, 12), (3, 8), (4, 6), (8, 3), (1, 24)])
+def test_digit_split_is_exact_up_to_the_mantissa(digits, width):
+    rng = np.random.default_rng(digits)
+    parts = rng.integers(0, 1 << width, (digits, 5, 7))
+    parts[:, 0, 0] = (1 << width) - 1  # the packed 2^(D s) - 1, 2^24 - 1 at D s = 24
+    parts[:, 0, 1] = 0
+    parts[rng.random(parts.shape) < 0.3] = 0  # digits that reach nothing
+    packed = sum(part << d * width for d, part in enumerate(parts))
+    assert packed.max() < 1 << 24
+    counts = packed.astype(np.float32)
+    assert np.array_equal(counts, packed)
+    reach = np.full(packed.shape, 0xFF, dtype=np.uint8)
+    scratch = np.empty_like(counts)
+    _reach_bits(counts, reach, scratch, digits, width)
+    assert np.array_equal(reach, sum((part > 0).astype(int) << d
+                                     for d, part in enumerate(parts)))
+    assert np.array_equal(counts, packed)  # kept
+    split = {d: digit.copy() for d, digit in _split_digits(counts, scratch, digits, width)}
+    assert list(split) == list(reversed(range(digits)))
+    for d, part in enumerate(parts):
+        assert np.array_equal(split[d], part)
+
+
+@pytest.mark.parametrize("mantissa,products", [(24, 2), (0, 3)])
+def test_three_atoms_take_two_products_with_packing(mantissa, products, monkeypatch):
+    monkeypatch.setattr(relrep.verify, "_FLOAT32_MANTISSA_BITS", mantissa)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _witness_tiles(*args)
+
+    monkeypatch.setattr(relrep.verify, "_witness_tiles", counted)
+    report = verify_bruteforce(builtin_52_65(), _random_coloring(50, 1), early_exit=False)
+    assert len(report.pair_checks) == 6 and len(calls) == products
 
 
 def _per_cell_triangle_labels(colors, cells, code_j: int, code_k: int):
