@@ -199,22 +199,32 @@ def partition_count(universe_size: int) -> int:
 def partition_coloring(u: JohnsonUniverse, part: EquitablePartition) -> EdgeColoring:
     """The edge coloring induced by classify over all point pairs.
 
-    Built by row blocks: a block's meet sizes are the popcounts of its points'
-    bitmasks ANDed with every point's, so beside the int8 codes only
+    Built by row blocks: two points meet in two or more elements when the AND
+    of their bitmasks keeps a bit once its lowest is cleared (v & (v - 1) != 0).
+    The int8 codes are written by arithmetic on the two bits of a cell, the
+    big meet across classes and the same class, so beside the codes only
     temporaries of one row block are held.
     """
     names = (IDENTITY, ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET)
     check_coloring_memory(u.size, len(names) - 1)
     if part.assignment.size != u.size:
         raise ValueError("partition does not match universe size")
+    big, same, small = (names.index(a) for a in (ATOM_BIG_MEET, ATOM_SAME_CLASS, ATOM_SMALL_MEET))
     masks, classes = u.point_bitmasks, part.assignment
-    codes = np.full((u.size, u.size), names.index(ATOM_SMALL_MEET), dtype=np.int8)
+    codes = np.empty((u.size, u.size), dtype=np.int8)
     for rows in _row_blocks(u.size):
         block = codes[rows]
-        block[np.bitwise_count(masks[rows, None] & masks) >= 2] = names.index(ATOM_BIG_MEET)
-        block[classes[rows, None] == classes] = names.index(ATOM_SAME_CLASS)
+        bits = block.view(np.bool_)
+        meet = masks[rows, None] & masks
+        meet &= meet - 1
+        same_class = classes[rows, None] == classes
+        np.not_equal(meet, 0, out=bits)
+        np.greater(bits, same_class, out=bits)  # a big meet across classes
+        block *= big - small
+        block += small
+        block += same_class.view(np.int8) * (same - small)
     np.fill_diagonal(codes, 0)
-    return EdgeColoring(names, codes)
+    return EdgeColoring._wrap(names, codes)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -50,9 +51,9 @@ _WITNESS_TILE_CELLS = 1 << 21
 _TRANSPOSE_TILE = 256
 
 # Cells of one row block of every N^2 pass that is not a witness product: the
-# differences of a Cayley coloring (2^18 int64 cells, 2 MiB), the meets of a
-# Johnson coloring and the checks of verify_bruteforce.  Their temporaries stay
-# this small, so a build peaks near the colors themselves.
+# meets of a Johnson coloring (2^18 uint32 cells, 1 MiB) and the checks of
+# verify_bruteforce.  Their temporaries stay this small, so a build peaks near
+# the colors themselves.
 _ROW_BLOCK_CELLS = 1 << 18
 
 
@@ -67,8 +68,12 @@ class StructuralError(ValueError):
 
 
 def check_coloring_memory(points: int, atoms: int) -> None:
-    """Charge building and brute-force verifying an N-point, A-atom coloring: N^2 (2 A + 4)
-    bytes, fitted to peak RSS (the colors, A - 1 uint16 remainders and one uint8 reach)."""
+    """Charge building and brute-force verifying an N-point, A-atom coloring: N^2 (2 A + 4) bytes.
+
+    Its cells hold 2 A bytes: the int8 codes (int16 above 127 atoms), A - 1 uint16
+    remainders and one uint8 reach.  The charge covers measured peak RSS: a full
+    3-atom walk over (Z/2)^13 peaked at 6.9 bytes per cell, interpreter included.
+    """
     check_memory(points * points * (2 * atoms + 4),
                  f"building and verifying a {points}-point coloring with {atoms} atoms")
 
@@ -212,7 +217,8 @@ class EdgeColoring:
 
     ``colors[x, y]`` is an integer index into ``atom_names``; code 0 must be the
     identity and appears exactly on the diagonal.  Validated once, at
-    construction; ``colors`` is a read-only copy.
+    construction; ``colors`` is a read-only copy, except that ``cayley_coloring``
+    and ``johnson.partition_coloring`` keep the matrix they built (``_wrap``).
     """
 
     def __init__(self, atom_names: Sequence[str], colors: np.ndarray):
@@ -220,6 +226,17 @@ class EdgeColoring:
         self.colors = np.array(colors)
         self.colors.setflags(write=False)
         self.validate()
+
+    @classmethod
+    def _wrap(cls, atom_names: Sequence[str], colors: np.ndarray) -> "EdgeColoring":
+        """Take ownership of a freshly built matrix without copying; validated once,
+        as by the constructor."""
+        obj = object.__new__(cls)
+        obj.atom_names = tuple(atom_names)
+        obj.colors = colors
+        colors.setflags(write=False)
+        obj.validate()
+        return obj
 
     @property
     def point_count(self) -> int:
@@ -421,18 +438,53 @@ def _true_cells(mask: np.ndarray):
             yield int(x), int(y)
 
 
+def _translation_split(moduli: Sequence[int]) -> int:
+    """How many leading factors form H in G = H x L: L is the fewest trailing
+    factors whose order is at least sqrt(|G|), so one cyclic factor is all L."""
+    order = math.prod(moduli)
+    return max(s for s in range(len(moduli)) if math.prod(moduli[s:]) ** 2 >= order)
+
+
 def cayley_coloring(part: ColoredPartition) -> EdgeColoring:
-    """The coloring with points G and edge (x, y) colored by the atom of y - x."""
+    """The coloring with points G and edge (x, y) colored by the atom of y - x.
+
+    The codes have the smallest signed type that holds them: int8 up to 127
+    diversity atoms, int16 above.  The rows are built by translation.  G splits
+    along its mixed-radix digits into H x L (``_translation_split``), so
+    y - x = (y_H - x_H, y_L - x_L) with no carry between the parts.  The |L|
+    rows with x_H = 0 are one strided copy of a window over the codes doubled
+    along L's axes: colors[x_L, (y_H, y_L)] = codes[y_H, y_L - x_L], whose
+    digit of modulus m is read at y - x + m, in 1 .. 2m - 1, of a doubled axis.
+    Each other block of |L| rows takes the H blocks of those rows in the order
+    y_H - x_H, from H's difference table.  Beside the codes, only the doubled
+    codes (at most N |L| bytes) and that |H| x |H| table are allocated.
+    """
     group = part.group
-    check_coloring_memory(group.order, len(part.assignment))
+    n = group.order
+    check_coloring_memory(n, len(part.assignment))
     names = (IDENTITY,) + part.atom_names()
-    code_of = np.zeros(group.order, dtype=np.int16)
+    codes = np.zeros(n, dtype=np.min_scalar_type(-len(names)))
     for code, name in enumerate(names[1:], start=1):
-        code_of[part.assignment[name].mask] = code
-    colors = np.empty((group.order, group.order), dtype=np.int16)
-    for rows in _row_blocks(group.order):
-        np.take(code_of, group.difference_rows(rows.start, rows.stop), out=colors[rows])
-    return EdgeColoring(names, colors)
+        codes[part.assignment[name].mask] = code
+    split = _translation_split(group.moduli)
+    h_moduli, l_moduli = group.moduli[:split], group.moduli[split:]
+    l = math.prod(l_moduli)
+    h = n // l
+    colors = np.empty((n, n), dtype=codes.dtype)
+    doubled = np.tile(codes.reshape(group.moduli), (1,) * split + (2,) * len(l_moduli))
+    l_strides = doubled.strides[split:]
+    window = np.lib.stride_tricks.as_strided(
+        doubled[(slice(None),) * split + tuple(slice(m, None) for m in l_moduli)],
+        l_moduli + h_moduli + l_moduli,
+        tuple(-s for s in l_strides) + doubled.strides[:split] + l_strides, writeable=False)
+    np.copyto(colors[:l].reshape(l_moduli + h_moduli + l_moduli), window)
+    if split:
+        first = colors[:l].reshape(l, h, l)
+        # mode="clip" leaves the in-range indices alone and, unlike "raise", writes out unbuffered
+        for x_h, order in enumerate(GroupSpec(h_moduli).difference_rows(1, h), start=1):
+            np.take(first, order, axis=1, mode="clip",
+                    out=colors[x_h * l:(x_h + 1) * l].reshape(l, h, l))
+    return EdgeColoring._wrap(names, colors)
 
 
 def _check_atoms_match(spec: RaSpec, names: Sequence[str]) -> list[str]:

@@ -266,6 +266,7 @@ def _random_gf2_partition_text(k: int, seed: int) -> str:
     (10, "early"),  # the reject stops in the one-tile product of (a, a) and (a, b)
     (10, "full"),
     (11, "full"),  # 2048 points: products of several tiles
+    (12, "full"),  # 4096 points: the coloring built from 63 translated blocks of 64 rows
 ])
 def test_verify_group_rep_random_gf2_json_bytes_pinned(capsys, tmp_path, k, mode):
     path = tmp_path / "part.txt"

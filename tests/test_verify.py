@@ -1,7 +1,6 @@
 """Partition structure, both verifiers, their agreement, and equivalence classes."""
 
 import json
-import math
 import time
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -229,18 +228,51 @@ def test_cayley_coloring_single_atom():
     assert (np.diagonal(col.colors) == 0).all()
 
 
-@pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])
-def test_cayley_coloring_matches_scalar_differences(moduli, monkeypatch):
-    # rows of 3 cells per block: the coloring is built from many row blocks, the last ragged
-    monkeypatch.setattr(relrep.verify, "_ROW_BLOCK_CELLS", 3 * math.prod(moduli))
-    g = GroupSpec(moduli)
-    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(5))
+def _assert_scalar_cayley_coloring(part: ColoredPartition, dtype) -> None:
+    """cayley_coloring(part) is read-only, has code type dtype and colors every
+    (x, y) by the atom of the scalar difference g.sub(y, x)."""
+    g = part.group
     col = cayley_coloring(part)
+    assert col.colors.dtype == dtype
+    assert not col.colors.flags.writeable
     code_of = {x: col.atom_names.index(name)
                for name, es in part.assignment.items() for x in es}
     code_of[0] = 0
     expected = [[code_of[g.sub(y, x)] for y in range(g.order)] for x in range(g.order)]
     assert col.colors.tolist() == expected
+
+
+# one cyclic factor (L = G), H = L, and H and L of different orders
+@pytest.mark.parametrize("moduli", [(113,), (2,) * 6, (3, 5)])
+def test_cayley_coloring_matches_scalar_differences(moduli):
+    g = GroupSpec(moduli)
+    _assert_scalar_cayley_coloring(
+        random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(5)), np.int8)
+
+
+_CAYLEY_GROUPS = st.one_of(
+    st.integers(2, 130).map(GroupSpec.cyclic),  # prime and composite orders
+    st.integers(1, 9).map(lambda k: GroupSpec.power(2, k)),
+    st.sampled_from([GroupSpec((2, 4)), GroupSpec((3, 5)), GroupSpec((2, 2, 3)),
+                     GroupSpec.power(4, 2)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=_CAYLEY_GROUPS, atoms=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_cayley_coloring_matches_scalar_differences_over_drawn_groups(group, atoms, seed):
+    names = ("a", "b", "c", "d")[:atoms]
+    _assert_scalar_cayley_coloring(
+        random_symmetric_partition(group, names, np.random.default_rng(seed)), np.int8)
+
+
+@pytest.mark.parametrize("order,dtype", [(255, np.int8), (257, np.int16)])
+def test_cayley_coloring_codes_take_the_smallest_signed_type(order, dtype):
+    # one atom per {x, -x}: 127 diversity atoms mod 255, 128 mod 257
+    g = GroupSpec.cyclic(order)
+    part = ColoredPartition(g, {f"o{x:03d}": ElementSet.from_indices(g, (x, order - x))
+                                for x in range(1, order // 2 + 1)})
+    _assert_scalar_cayley_coloring(part, dtype)
 
 
 def test_cayley_coloring_memory_stays_near_the_codes():
@@ -252,7 +284,18 @@ def test_cayley_coloring_memory_stays_near_the_codes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * (2 * g.order * g.order)  # a small multiple of the int16 codes
+    # the int8 codes and temporaries below a quarter of them
+    assert peak < 5 * g.order * g.order // 4
+
+
+def test_cayley_coloring_holds_no_large_index_table():
+    # (Z/2)^10 = H x L with |H| = |L| = 32: beside the int8 codes, an intp array
+    # of N^2 / 8 cells or more (a difference table of 128 or more rows) goes over
+    g = GroupSpec.power(2, 10)
+    part = random_symmetric_partition(g, ("a", "b", "c"), np.random.default_rng(6))
+    n = g.order
+    intp_bytes = np.dtype(np.intp).itemsize
+    assert _traced_peak(lambda: cayley_coloring(part)) < n * n + n * n // 8 * intp_bytes
 
 
 def test_edge_coloring_validates_without_copying_the_matrix():
@@ -265,7 +308,8 @@ def test_edge_coloring_validates_without_copying_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # its own copy plus one bool temporary; a second copy for the zero check goes over
+    # its own copy of the int8 codes and tile temporaries; a second copy, or a
+    # bool temporary of every cell, for the zero check goes over
     assert peak < 2 * coloring.colors.nbytes
 
 
