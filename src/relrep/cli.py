@@ -21,10 +21,12 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import RaSpec, builtin, content_lines, parse_spec
 from .comer import build_59_65_partition, build_scheme, sweep_schemes
 from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
-from .groups import ElementSet, GroupSpec, MemoryGuardError, check_memory
+from .groups import ElementSet, GroupSpec, MemoryGuardError, check_memory, first_repeat
 from .johnson import mc_trial, minimal_sufficient_n, probability_bound
 from .verify import (ColoredPartition, StructuralError, cayley_coloring,
                      check_coloring_memory, verify_bruteforce, verify_sumsets)
@@ -55,7 +57,8 @@ def load_partition(path, group: GroupSpec | None = None,
     """
     text = _read_text(path)
     file_group: GroupSpec | None = None
-    rows: list[tuple[str, str]] = []
+    atoms: list[str] = []
+    texts: list[str] = []
     for lineno, line in content_lines(text.splitlines()):
         if line.startswith("group:"):
             if file_group is not None:
@@ -70,33 +73,30 @@ def load_partition(path, group: GroupSpec | None = None,
         parts = line.split()
         if len(parts) != 2:
             raise StructuralError(f"{path}:{lineno}: expected 'atom element', got {line!r}")
-        rows.append((parts[0], parts[1]))
+        atoms.append(parts[0])
+        texts.append(parts[1])
     if group is not None and file_group is not None and group != file_group:
         raise StructuralError(f"--group says {group} but {path} says {file_group}")
     group = group or file_group
     if group is None:
         raise StructuralError(f"{path} has no group directive; pass --group")
-    assignment: dict[str, set[int]] = {}
-    seen: set[int] = set()
-    for atom, element_text in rows:
-        try:
-            element = group.parse_element(element_text)
-        except ValueError as exc:
-            raise StructuralError(f"bad element in {path}: {exc}") from None
-        if element in seen:
-            raise StructuralError(
-                f"element {element_text} is assigned more than once in {path}")
-        seen.add(element)
-        assignment.setdefault(atom, set()).add(element)
+    try:
+        elements = group.parse_elements(texts)
+    except ValueError as exc:
+        raise StructuralError(f"bad element in {path}: {exc}") from None
+    repeat = first_repeat(elements)
+    if repeat is not None:
+        raise StructuralError(f"element {texts[repeat]} is assigned more than once in {path}")
+    names = list(dict.fromkeys(atoms))
     if spec is not None:
         spec_names = [a.name for a in spec.diversity_atoms]
-        unknown = sorted(set(assignment) - set(spec_names))
+        unknown = sorted(set(names) - set(spec_names))
         if unknown:
             raise StructuralError(f"partition names atoms {unknown} that "
                                   f"{spec.label or 'the spec'} does not have")
-        assignment.update((name, set()) for name in spec_names if name not in assignment)
-    sets = {name: ElementSet.from_indices(group, members)
-            for name, members in assignment.items()}
+        names += [name for name in spec_names if name not in names]
+    column = np.array(atoms, dtype=str)
+    sets = {name: ElementSet.from_indices(group, elements[column == name]) for name in names}
     return ColoredPartition(group, sets)  # validates gap/zero/symmetry
 
 

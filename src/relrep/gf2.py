@@ -18,7 +18,8 @@ from importlib import resources
 import numpy as np
 
 from .algebra import builtin_52_65, content_lines
-from .groups import ElementSet, GroupSpec, hamming_weights, sumset, weight_class
+from .groups import (ElementSet, GroupSpec, first_repeat, hamming_weights, sumset,
+                     weight_class)
 from .verify import ColoredPartition, VerificationReport, verify_sumsets
 
 
@@ -43,16 +44,12 @@ def _weight_split(group: GroupSpec) -> tuple[ElementSet, ElementSet]:
 
 def parse_bitstrings(lines, k: int) -> list[int]:
     """Element indices from k-character bitstring lines ('#' starts a comment)."""
-    group = GroupSpec.power(2, k)
-    seen: dict[int, str] = {}
-    out = []
-    for _, text in content_lines(lines):
-        value = group.parse_element(text)
-        if value in seen:
-            raise ValueError(f"duplicate element {text!r}")
-        seen[value] = text
-        out.append(value)
-    return out
+    texts = [text for _, text in content_lines(lines)]
+    values = GroupSpec.power(2, k).parse_elements(texts)
+    repeat = first_repeat(values)
+    if repeat is not None:
+        raise ValueError(f"duplicate element {texts[repeat]!r}")
+    return values.tolist()
 
 
 def shipped_subgroup_bitstrings() -> list[str]:

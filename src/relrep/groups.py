@@ -217,24 +217,84 @@ class GroupSpec:
         return ",".join(str(c) for c in self.decode(x))
 
     def parse_element(self, text: str) -> int:
-        text = text.strip()
+        """The index of one element text: :meth:`parse_elements` of one text."""
+        return int(self.parse_elements([text])[0])
+
+    def parse_elements(self, texts: Iterable[str]) -> np.ndarray:
+        """The indices of element texts, parsed as one numpy column.
+
+        The texts take the forms :meth:`format_element` writes, with surrounding
+        whitespace ignored: a k-character bitstring on (Z/2)^k, an integer on
+        Z/n, comma-separated coordinates on other products.  Raises ValueError
+        naming the first text that is no element of the group.
+        """
+        texts = [text.strip() for text in texts]
         if self._is_two_power:
-            if len(text) != self.rank or set(text) - {"0", "1"}:
-                raise ValueError(f"expected a {self.rank}-character bitstring, got {text!r}")
-            return int(text, 2)
+            k = self.rank
+            digits = (np.array(texts, dtype=f"<U{k}").view(np.uint32).reshape(len(texts), k)
+                      - np.uint32(ord("0")))  # a character other than 0 or 1 wraps above 1
+            lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+            bad = np.flatnonzero((lengths != k) | (digits > 1).any(axis=1))
+            if bad.size:
+                raise ValueError(f"expected a {k}-character bitstring, got {texts[bad[0]]!r}")
+            return digits @ (1 << np.arange(k - 1, -1, -1))
         if self.rank == 1:
-            try:
-                value = int(text)
-            except ValueError:
-                raise ValueError(f"expected an integer element, got {text!r}") from None
-            return self.check_element(value)
-        parts = text.split(",")
-        if len(parts) != self.rank:
-            raise ValueError(f"expected {self.rank} comma-separated coordinates, got {text!r}")
-        coords = [int(p) for p in parts]
-        if any(not 0 <= c < n for c, n in zip(coords, self.moduli)):
+            values, unparsed = _integers(texts)
+            bad = np.flatnonzero(unparsed | (values < 0) | (values >= self.order))
+            if bad.size:
+                text = texts[bad[0]]
+                if unparsed[bad[0]]:
+                    raise ValueError(f"expected an integer element, got {text!r}")
+                self.check_element(int(text))  # raises, naming the index
+            return values
+        parts = [text.split(",") for text in texts]
+        miscounted = np.fromiter((len(p) != self.rank for p in parts), dtype=bool,
+                                 count=len(parts))
+        coords, unparsed = _integers([c for p in parts
+                                      for c in (p if len(p) == self.rank else ("0",) * self.rank)])
+        coords = coords.reshape(len(texts), self.rank)
+        unparsed = unparsed.reshape(len(texts), self.rank).any(axis=1)
+        outside = ((coords < 0) | (coords >= np.array(self.moduli))).any(axis=1)
+        bad = np.flatnonzero(miscounted | unparsed | outside)
+        if bad.size:
+            text = texts[bad[0]]
+            if miscounted[bad[0]]:
+                raise ValueError(
+                    f"expected {self.rank} comma-separated coordinates, got {text!r}")
+            for part in parts[bad[0]]:
+                int(part)  # raises int()'s own message at the first non-integer
             raise ValueError(f"coordinates {text!r} out of range for {self}")
-        return self.encode(coords)
+        return coords @ np.array(self._weights)
+
+
+def _integers(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """int() of each text as int64, and the mask of the texts int() rejects.
+
+    The column is cast at once; only a column holding a text the cast refuses
+    is read text by text, to find it.  A value beyond int64 reads -1, which
+    indexes no element.
+    """
+    try:
+        return np.array(texts, dtype=str).astype(np.int64), np.zeros(len(texts), dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), dtype=np.int64)
+    unparsed = np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            value = int(text)
+        except ValueError:
+            unparsed[i] = True
+        else:
+            values[i] = value if -(1 << 63) <= value < 1 << 63 else -1
+    return values, unparsed
+
+
+def first_repeat(values: np.ndarray) -> int | None:
+    """The position of the first value equal to an earlier one, or None."""
+    order = np.argsort(values, kind="stable")
+    repeats = order[1:][values[order[1:]] == values[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
 
 
 class ElementSet:
@@ -277,9 +337,14 @@ class ElementSet:
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "ElementSet":
+        """The set of the given element indices, range-checked as one array."""
+        indices = (np.asarray(indices, dtype=np.int64) if isinstance(indices, np.ndarray)
+                   else np.fromiter(indices, dtype=np.int64))
+        outside = (indices < 0) | (indices >= group.order)
+        if outside.any():
+            group.check_element(indices[outside.argmax()])  # raises, naming the first
         mask = np.zeros(group.order, dtype=bool)
-        for x in indices:
-            mask[group.check_element(x)] = True
+        mask[indices] = True
         return cls._wrap(group, mask)
 
     def __len__(self) -> int:

@@ -10,11 +10,13 @@ property.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +75,10 @@ def check_coloring_memory(points: int, atoms: int) -> None:
     Its cells hold 2 A bytes: the int8 codes (int16 above 127 atoms), A - 1 uint16
     remainders and one uint8 reach.  The charge covers measured peak RSS: a full
     3-atom walk over (Z/2)^13 peaked at 6.9 bytes per cell, interpreter included.
+    The remainders, the reach and the product tiles live in a workspace that
+    the process keeps after the call, sized by the largest call served and
+    released before it grows, so a later call of at most that size allocates
+    none of them again and a larger one peaks as a first call would.
     """
     check_memory(points * points * (2 * atoms + 4),
                  f"building and verifying a {points}-point coloring with {atoms} atoms")
@@ -216,9 +222,11 @@ class EdgeColoring:
     """A total symmetric coloring of ordered point pairs by atom names.
 
     ``colors[x, y]`` is an integer index into ``atom_names``; code 0 must be the
-    identity and appears exactly on the diagonal.  Validated once, at
-    construction; ``colors`` is a read-only copy, except that ``cayley_coloring``
-    and ``johnson.partition_coloring`` keep the matrix they built (``_wrap``).
+    identity and appears exactly on the diagonal.  The constructor validates
+    once and keeps a read-only copy.  ``cayley_coloring`` and
+    ``johnson.partition_coloring`` keep the matrix they built (``_wrap``), and
+    are trusted: each builds a well-formed coloring from a validated input,
+    which the tests check by calling ``validate`` on their output.
     """
 
     def __init__(self, atom_names: Sequence[str], colors: np.ndarray):
@@ -229,13 +237,12 @@ class EdgeColoring:
 
     @classmethod
     def _wrap(cls, atom_names: Sequence[str], colors: np.ndarray) -> "EdgeColoring":
-        """Take ownership of a freshly built matrix without copying; validated once,
-        as by the constructor."""
+        """Take ownership of a freshly built, well-formed matrix without copying
+        or validating it."""
         obj = object.__new__(cls)
         obj.atom_names = tuple(atom_names)
         obj.colors = colors
         colors.setflags(write=False)
-        obj.validate()
         return obj
 
     @property
@@ -287,31 +294,90 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _tile_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float32 left and right operand tiles and the counts of an n-point product."""
+class _Workspace:
+    """Named byte buffers whose pages a process keeps between the calls it serves.
+
+    ``array`` views a buffer as an uninitialised array, so each cell must be
+    written before it is read, as with ``np.empty``.  A buffer only grows, to
+    the largest array asked of it, and one too small is released before its
+    replacement is allocated, so a call peaks no higher than with fresh
+    arrays, and reuses the pages that earlier calls faulted in.  Each array
+    has a buffer of its own: pages that one array leaves unwritten (the
+    remainders an early exit never fills) share no huge page with another's.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buffer.size for buffer in self._buffers.values())
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array on the buffer ``name``, valid until
+        that buffer is asked for again."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if name not in self._buffers or self._buffers[name].size < size:
+            self._buffers.pop(name, None)  # released before the larger one exists
+            self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return self._buffers[name][:size].view(dtype).reshape(shape)
+
+
+class _WorkspacePool:
+    """Keeps one workspace and lends it to one call at a time.
+
+    A call that finds it lent works in a fresh workspace, so two calls never
+    share a buffer; of the two, the one given back first is kept.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: _Workspace | None = _Workspace()
+
+    @contextmanager
+    def lend(self) -> Iterator[_Workspace]:
+        with self._lock:
+            workspace, self._idle = self._idle or _Workspace(), None
+        try:
+            yield workspace
+        finally:
+            with self._lock:
+                if self._idle is None:
+                    self._idle = workspace
+
+
+# The buffers of every witness product: verify_bruteforce and equivalence_classes
+# take theirs from here.
+_WORKSPACES = _WorkspacePool()
+
+
+def _tile_buffers(workspace: _Workspace, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 left and right operand tiles and the counts of an n-point
+    product, on the workspace's buffers."""
     side = min(n, max(1, _WITNESS_TILE_CELLS // n))
-    return (np.empty((side, n), dtype=np.float32), np.empty((side, n), dtype=np.float32),
-            np.empty((side, side), dtype=np.float32))
+    return (workspace.array("left", (side, n), np.float32),
+            workspace.array("right", (side, n), np.float32),
+            workspace.array("counts", (side, side), np.float32))
 
 
-def _witness_tiles(left, right, n: int, symmetric: bool, buffers=None):
+def _witness_tiles(left, right, n: int, symmetric: bool, buffers):
     """Yield (rows, cols, counts) for each square tile of the float32 product A @ B.
 
     A and B are n x n 0/1 matrices given by readers: ``left(rows, out)``
     writes the rows ``rows`` of A into the float32 array ``out``, and
     ``right(cols, out)`` the columns ``cols`` of B as rows, so a symmetric B
     is read by its rows.  The operand tiles and the counts are the arrays of
-    ``buffers`` (from ``_tile_buffers``, made here if not given), so a tile's
-    counts are valid until the next tile is drawn.  With ``symmetric`` (B is
-    A, and A is symmetric) the product is symmetric: only the tiles on or
-    above the diagonal are multiplied, and each off-diagonal one is yielded
-    again, transposed, as its mirror.
+    ``buffers`` (from ``_tile_buffers``), so a tile's counts are valid until
+    the next tile is drawn.  With ``symmetric`` (B is A, and A is symmetric)
+    the product is symmetric: only the tiles on or above the diagonal are
+    multiplied, and each off-diagonal one is yielded again, transposed, as its
+    mirror.
     """
     if n >= _FLOAT32_EXACT_POINTS:
         raise ValueError(
             f"witness product over {n} points: float32 counts are exact "
             f"only below {_FLOAT32_EXACT_POINTS} points")
-    a, b, out = _tile_buffers(n) if buffers is None else buffers
+    a, b, out = buffers
     side = len(a)
     for r in range(0, n, side):
         rows = slice(r, min(r + side, n))
@@ -585,7 +651,12 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     No 0/1 matrix of an atom is held: every pass reads atom i as
     ``colors == code_i``, a product by its float32 operand tiles and every
     other pass by row blocks.  A call holds the uint16 remainders, one uint8
-    reach that every pair reuses, and buffers of fixed size.  Bit 0 of the
+    reach that every pair reuses, and buffers of fixed size.  All of them lie
+    on the buffers of one workspace that the process keeps between calls: it
+    holds the largest call's buffers, and releases one before it grows.  So
+    repeated calls in one process (a bench pass, a test session) reuse the
+    pages that earlier calls faulted in, and a one-shot CLI run gains
+    nothing; calls in concurrent threads never share a buffer.  Bit 0 of the
     reach is the pair being checked; bit d holds the reach of the pair d
     places further in the same product, shifted down as the walk reaches it.
     A pair is checked by counts: hits_i, the reached edges of atom i, makes a
@@ -596,24 +667,34 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
     names = _check_atoms_match(
         spec, [n for n in coloring.atom_names if n != IDENTITY])
     report = VerificationReport("bruteforce", early_exit, max_recorded)
+    with _WORKSPACES.lend() as workspace:
+        _bruteforce_walk(spec, coloring, names, report, workspace)
+    return report
+
+
+def _bruteforce_walk(spec: RaSpec, coloring: EdgeColoring, names: list[str],
+                     report: VerificationReport, workspace: _Workspace) -> None:
+    """The pair walk of ``verify_bruteforce``, recorded into ``report``, with every
+    N^2 buffer and tile on the buffers of ``workspace``."""
     colors = coloring.colors
     n = coloring.point_count
     code = {name: coloring.atom_code(name) for name in names}
     degrees = dict(zip(names, _degrees(colors, [code[i] for i in names])))
     sizes = {name: int(degrees[name].sum()) for name in names}
     last = names[-1] if names else None
+    blocks = _row_blocks(n)
     # The remainders share one array; each is filled on its first drain, so the
-    # pages of one that an early exit never reaches stay unwritten.
-    stack = np.empty((len(names[:-1]), n, n), dtype=np.uint16)
+    # pages of one that an early exit never reaches stay unwritten in a fresh
+    # workspace.  The flags are one row block of one atom, shared: each
+    # generator of violating edges that reads it is drained by report.record
+    # before it is written again.
+    stack = workspace.array("remainders", (len(names[:-1]), n, n), np.uint16)
+    reach = workspace.array("reach", (n, n), np.uint8)
+    flags = workspace.array("flags", (blocks[0].stop, n), np.bool_)
+    tiles = _tile_buffers(workspace, n)
     remainders = dict(zip(names[:-1], stack))
     filled = set()
-    reach = np.empty((n, n), dtype=np.uint8)
-    blocks = _row_blocks(n)
-    # One row block of one atom, shared: each generator of violating edges that
-    # reads it is drained by report.record before it is written again.
-    flags = np.empty((blocks[0].stop, n), dtype=bool)
     flag_bytes = flags.view(np.uint8)
-    tiles = _tile_buffers(n)
     width = _digit_width(n)
     # The product of each pair (j, k) with k before L: the atoms ks whose pairs
     # with j it counts, and the digit d of (j, k) in it.
@@ -757,7 +838,6 @@ def verify_bruteforce(spec: RaSpec, coloring: EdgeColoring, *,
         if pending is not None and d == len(ks) - 1 and not report.stopped:
             drain(j, ks, slice(None), slice(None), pending)
             pending = None
-    return report
 
 
 @dataclass(frozen=True)
@@ -776,30 +856,34 @@ def equivalence_classes(coloring: EdgeColoring, atom_name: str) -> EquivalenceRe
     """Partition points by (atom_name or identity) if transitive, else witness.
 
     The relation is read from the colors, atom_name's code or code 0 (the
-    diagonal), through the witness product's tiles; the witness is the first
+    diagonal), through the witness product's tiles, which come from the
+    workspace that ``verify_bruteforce`` uses too; the witness is the first
     pair in row-major order that the relation composed with itself reaches
     but the relation does not hold.
     """
     code = coloring.atom_code(atom_name)
     colors = coloring.colors
+    n = coloring.point_count
 
     def related(rows, out) -> np.ndarray:
         return np.logical_or(colors[rows] == code, colors[rows] == 0, out=out)
 
     first = None
-    for rows, cols, counts in _witness_tiles(related, related, coloring.point_count, True):
-        tile = colors[rows, cols]
-        bad = next(_true_cells((counts > 0) & (tile != code) & (tile != 0)), None)
-        if bad is not None:
-            cell = (rows.start + bad[0], cols.start + bad[1])
-            first = cell if first is None else min(first, cell)
+    with _WORKSPACES.lend() as workspace:
+        tiles = _tile_buffers(workspace, n)
+        for rows, cols, counts in _witness_tiles(related, related, n, True, tiles):
+            tile = colors[rows, cols]
+            bad = next(_true_cells((counts > 0) & (tile != code) & (tile != 0)), None)
+            if bad is not None:
+                cell = (rows.start + bad[0], cols.start + bad[1])
+                first = cell if first is None else min(first, cell)
     if first is not None:
         x, y = first
         z = int(np.flatnonzero(related(x, None) & related(y, None))[0])
         return EquivalenceResult(None, (x, z, y))
-    seen = np.zeros(coloring.point_count, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     classes = []
-    for x in range(coloring.point_count):
+    for x in range(n):
         if seen[x]:
             continue
         members = np.flatnonzero(related(x, None))

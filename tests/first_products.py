@@ -7,14 +7,18 @@ builds three seeded colorings: a random 3-atom partition of Z/113 (113
 points), a Johnson n = 5 trial (462 points) and a random 3-atom partition of
 (Z/2)^10 (1024 points).  It times ``verify_bruteforce`` against 52_65 over
 the whole pair walk on each, smallest first, once cold (the process's first
-BLAS products of that size) and then once warm.  One line per size lists the
-cold and then the warm milliseconds of every process, sorted, so a stall in
-some processes shows as a second cluster.  The environment passes through,
+BLAS products of that size) and then once warm, and counts the minor page
+faults of the warm walk (``ru_minflt`` of the process itself), which are 0
+once the walk's buffers are kept from the cold one.  One line per size lists
+the cold and then the warm milliseconds of every process, sorted, so a stall
+in some processes shows as a second cluster, and then the warm walks' faults.
+The environment passes through,
 so ``OPENBLAS_NUM_THREADS=1`` in front of the command times one-thread BLAS.
 A script, not a test: it only measures.
 """
 
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -45,16 +49,18 @@ def _colorings():
 
 
 def child() -> None:
-    """Print [cold ms, warm ms] for each size, as JSON."""
+    """Print [cold ms, warm ms, warm minor faults] for each size, as JSON."""
     from relrep import builtin_52_65, verify_bruteforce
 
     spec, timings = builtin_52_65(), []
     for coloring in _colorings():
         calls = []
         for _ in range(2):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             verify_bruteforce(spec, coloring, early_exit=False)
             calls.append((time.perf_counter() - start) * 1e3)
+        calls.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
         timings.append(calls)
     print(json.dumps(timings))
 
@@ -65,9 +71,10 @@ def run(processes: int) -> list[str]:
             for _ in range(processes)]
     lines = []
     for size, per_process in zip(SIZES, zip(*runs)):
-        cold, warm = (" ".join(f"{ms:.1f}" for ms in sorted(calls))
-                      for calls in zip(*per_process))
-        lines.append(f"{size}: cold ms {cold}; warm ms {warm}")
+        cold, warm, faults = zip(*per_process)
+        cold, warm = (" ".join(f"{ms:.1f}" for ms in sorted(calls)) for calls in (cold, warm))
+        lines.append(f"{size}: cold ms {cold}; warm ms {warm}; "
+                     f"warm minor faults {' '.join(str(f) for f in sorted(faults))}")
     return lines
 
 

@@ -14,7 +14,7 @@ import relrep.groups
 from relrep import (ElementSet, GroupSpec, cyclotomic_cosets, hamming_weights,
                     is_prime, is_primitive_root, primitive_root, span, sumset,
                     sumset_reference, weight_class)
-from relrep.groups import MemoryGuardError, _sum_counts, _walsh_hadamard
+from relrep.groups import MemoryGuardError, _sum_counts, _walsh_hadamard, first_repeat
 
 from helpers import PAIR_GROUPS
 
@@ -112,6 +112,67 @@ def test_element_text_forms():
         GroupSpec.power(2, 4).parse_element("012")
     with pytest.raises(ValueError):
         GroupSpec.power(2, 4).parse_element("0123")
+
+
+_TEXT_GROUPS = [GroupSpec.power(2, 4), GroupSpec.cyclic(113), GroupSpec((3, 5)),
+                GroupSpec.cyclic(2), GroupSpec((2, 2, 3))]
+_TEXTS = ["5", " 5 ", "+5", "-1", "1_0", "", "x", "99999999999999999999999", "112",
+          "113", "2,4", "4,1", "-1,0", "1,x", "1,2,3", "1,", "0101", "012", "0123", "1",
+          " 0110 ", "9999999999999999999999,0", "1,0,2"]
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=st.sampled_from(_TEXT_GROUPS), texts=st.lists(st.sampled_from(_TEXTS), max_size=6))
+def test_parse_elements_is_the_one_text_parse_of_each_text(group, texts):
+    # the column gives each text's index, or the error of its first text that
+    # parses alone to an error
+    singles = [_outcome(lambda t=t: group.parse_element(t)) for t in texts]
+    errors = [single for single in singles if single[0] == "error"]
+    expected = errors[0] if errors else ("ok", [value for _, value in singles])
+    assert _outcome(lambda: group.parse_elements(texts).tolist()) == expected
+
+
+@pytest.mark.parametrize("group", _TEXT_GROUPS, ids=str)
+def test_parse_elements_reads_what_format_element_writes(group):
+    indices = np.random.default_rng(3).permutation(group.order)
+    texts = [group.format_element(int(x)) for x in indices]
+    assert np.array_equal(group.parse_elements(texts), indices)
+    assert group.parse_elements([]).shape == (0,)
+
+
+def test_element_text_messages():
+    cases = [(GroupSpec.power(2, 4), "012", "expected a 4-character bitstring, got '012'"),
+             (GroupSpec.cyclic(7), "x", "expected an integer element, got 'x'"),
+             (GroupSpec.cyclic(7), "7", "element index 7 out of range for group of order 7"),
+             (GroupSpec((3, 5)), "1,2,3", "expected 2 comma-separated coordinates, got '1,2,3'"),
+             (GroupSpec((3, 5)), "1,x", "invalid literal for int() with base 10: 'x'"),
+             (GroupSpec((3, 5)), "3,0", "coordinates '3,0' out of range for 3x5")]
+    for group, text, message in cases:
+        with pytest.raises(ValueError) as caught:
+            group.parse_elements([text, "?"])  # "?" is no element either, but later
+        assert str(caught.value) == message
+
+
+def test_first_repeat_names_the_first_later_copy():
+    assert first_repeat(np.array([4, 1, 7, 1, 4])) == 3
+    assert first_repeat(np.array([2, 9, 5])) is None
+    assert first_repeat(np.array([], dtype=np.intp)) is None
+
+
+def test_from_indices_range_checks_every_index():
+    g = GroupSpec.cyclic(10)
+    assert ElementSet.from_indices(g, np.array([3, 3, 9])) == ElementSet.from_indices(g, {9, 3})
+    with pytest.raises(ValueError, match="element index 10 out of range"):
+        ElementSet.from_indices(g, [1, 10, -1])
+    with pytest.raises(ValueError, match="element index -1 out of range"):
+        ElementSet.from_indices(g, np.array([-1, 12]))
 
 
 def test_product_coordinates_out_of_range_rejected():

@@ -286,6 +286,7 @@ def test_partition_coloring_blocks_match_the_one_shot_formula(rows, monkeypatch)
 
 
 def test_partition_coloring_matches_scalar_classify():
+    # the builder skips the coloring check, so its output is checked here
     u = JohnsonUniverse(5)
     part = random_equitable_partition(u, 7)
     col = partition_coloring(u, part)
@@ -294,3 +295,10 @@ def test_partition_coloring_matches_scalar_classify():
     for _ in range(50):
         x, y = (int(v) for v in rng.integers(0, u.size, 2))
         assert col.atom_names[col.colors[x, y]] == classify(u, part, x, y)
+
+
+def test_partition_coloring_is_well_formed_at_n6():
+    # the other size with equitable partitions that the CLI runs (n = 3 and 4
+    # have none: 10 and 70 points)
+    u = JohnsonUniverse(6)
+    partition_coloring(u, random_equitable_partition(u, 3)).validate()

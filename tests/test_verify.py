@@ -1,8 +1,11 @@
 """Partition structure, both verifiers, their agreement, and equivalence classes."""
 
 import json
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 from itertools import combinations_with_replacement
 from unittest import mock
 
@@ -24,7 +27,8 @@ from relrep.groups import MemoryGuardError
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
                            PairCheck, VerificationReport, _degrees, _packed_digits,
                            _reach_bits, _ROW_BLOCK_CELLS, _split_digits,
-                           _subtract_transposed, _true_cells, _witness_tiles,
+                           _subtract_transposed, _tile_buffers, _true_cells,
+                           _witness_tiles, _Workspace, _WorkspacePool,
                            check_coloring_memory)
 
 
@@ -32,9 +36,10 @@ def _witness_reach(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> np.
     """Boolean product of square bool matrices through the witness-product tiles:
     True at (x, y) iff a[x, z] b[z, y] for some z."""
     reach = np.empty(a.shape, dtype=bool)
+    tiles = _tile_buffers(_Workspace(), len(a))
     for rows, cols, counts in _witness_tiles(lambda rows, out: np.copyto(out, a[rows]),
                                              lambda cols, out: np.copyto(out, b[:, cols].T),
-                                             len(a), symmetric):
+                                             len(a), symmetric, tiles):
         np.greater(counts, 0, out=reach[rows, cols])
     return reach
 
@@ -229,10 +234,12 @@ def test_cayley_coloring_single_atom():
 
 
 def _assert_scalar_cayley_coloring(part: ColoredPartition, dtype) -> None:
-    """cayley_coloring(part) is read-only, has code type dtype and colors every
-    (x, y) by the atom of the scalar difference g.sub(y, x)."""
+    """cayley_coloring(part) is a well-formed coloring (the builder skips the
+    check), read-only, has code type dtype and colors every (x, y) by the atom
+    of the scalar difference g.sub(y, x)."""
     g = part.group
     col = cayley_coloring(part)
+    col.validate()
     assert col.colors.dtype == dtype
     assert not col.colors.flags.writeable
     code_of = {x: col.atom_names.index(name)
@@ -477,7 +484,7 @@ def test_witness_reach_matches_boolean_oracle(size, tile_cells, density, monkeyp
 def test_witness_tiles_refuse_counts_float32_cannot_hold():
     # refused before any operand is read or any tile allocated
     with pytest.raises(ValueError, match="float32"):
-        next(_witness_tiles(None, None, 1 << 24, symmetric=False))
+        next(_witness_tiles(None, None, 1 << 24, False, ()))
 
 
 def _traced_peak(call) -> int:
@@ -505,8 +512,130 @@ def test_witness_products_hold_no_full_size_float_copy(monkeypatch):
     # matrix, so the checks' bool block and its temporaries add about 2, and
     # the tiles 0.5; a bool mask per atom would add 3, and a fresh N^2
     # temporary of a check 1 or 2
-    peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), coloring, early_exit=False))
+    with mock.patch.object(relrep.verify, "_WORKSPACES", _WorkspacePool()):  # a first call
+        peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), coloring,
+                                                      early_exit=False))
     assert peak < 8 * n * n
+
+
+# -- the witness workspace ---------------------------------------------------------
+
+
+def test_second_bruteforce_call_allocates_no_n2_buffer():
+    # the first call carves the remainders, the reach, the row block and the
+    # 4 MiB tiles (17 B/cell at N = 1024); the second, of the same size, takes
+    # them from the workspace and allocates only row-block temporaries
+    group = GroupSpec.power(2, 10)
+    first, second = (cayley_coloring(random_symmetric_partition(
+        group, ("a", "b", "c"), np.random.default_rng(seed))) for seed in (1, 2))
+    n = group.order
+    with mock.patch.object(relrep.verify, "_WORKSPACES", _WorkspacePool()):
+        verify_bruteforce(builtin_52_65(), first, early_exit=False)
+        peak = _traced_peak(lambda: verify_bruteforce(builtin_52_65(), second,
+                                                      early_exit=False))
+    assert peak < n * n // 2
+
+
+def test_workspace_buffers_only_grow_and_are_released_before_growing():
+    events = []
+    real_empty = np.empty
+
+    def empty(shape, dtype=float):
+        events.append(("allocated", shape))
+        return real_empty(shape, dtype)
+
+    workspace = _Workspace()
+    big = workspace.array("a", (100, 100), np.uint16)
+    workspace.array("b", (3, 5), np.float32)
+    assert workspace.nbytes == 20_000 + 60
+    small = workspace.array("a", (10, 10), np.uint8)
+    assert workspace.nbytes == 20_060 and small.base is big.base
+    weakref.finalize(big.base, events.append, ("released",))
+    del big, small
+    with mock.patch.object(relrep.verify.np, "empty", empty):
+        grown = workspace.array("a", (200, 100), np.uint16)
+    assert workspace.nbytes == 40_060
+    assert events == [("released",), ("allocated", 40_000)]
+    assert grown.shape == (200, 100) and grown.dtype == np.uint16
+
+
+_WORKSPACE_SPECS = {"52_65": builtin_52_65(), "59_65": builtin_59_65()}
+
+
+@st.composite
+def _shrinking_colorings(draw):
+    """Two or three (spec name, coloring) pairs of falling size: random 3-atom
+    Cayley colorings, and the Comer 59_65 coloring of Z/113."""
+    groups = st.one_of(st.integers(5, 130).map(GroupSpec.cyclic),
+                       st.integers(3, 7).map(lambda k: GroupSpec.power(2, k)),
+                       st.just("comer"))
+    picks = draw(st.lists(groups, min_size=2, max_size=3))
+    cases = []
+    for pick in picks:
+        if pick == "comer":
+            cases.append(("59_65", cayley_coloring(build_59_65_partition(build_scheme(113, 8)))))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            cases.append(("52_65", cayley_coloring(
+                random_symmetric_partition(pick, ("a", "b", "c"), rng))))
+    return sorted(cases, key=lambda case: -case[1].point_count)
+
+
+def _in_pool(pool, call):
+    with mock.patch.object(relrep.verify, "_WORKSPACES", pool):
+        return call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases=_shrinking_colorings(), early_exit=st.booleans(),
+       tile_cells=st.sampled_from([1 << 21, 1 << 9]))
+def test_reused_workspace_gives_the_fresh_workspace_reports(cases, early_exit, tile_cells):
+    # every cell the walk reads it has written first: a workspace left full of
+    # 0xFF bytes by a larger call (NaN tiles, 65535 remainders, 0xFF bools)
+    # changes no report and no equivalence result
+    def calls(spec_name, coloring):
+        spec = _WORKSPACE_SPECS[spec_name]
+        return (verify_bruteforce(spec, coloring, early_exit=False).to_dict(),
+                verify_bruteforce(spec, coloring, early_exit=early_exit).to_dict(),
+                equivalence_classes(coloring, "b"))
+
+    reused = _WorkspacePool()
+    with mock.patch.object(relrep.verify, "_WITNESS_TILE_CELLS", tile_cells):
+        _in_pool(reused, lambda: calls(*cases[0]))  # sizes every buffer for the largest
+        for case in cases:
+            fresh = _in_pool(_WorkspacePool(), lambda: calls(*case))
+            for buffer in reused._idle._buffers.values():
+                buffer.fill(0xFF)
+            assert _in_pool(reused, lambda: calls(*case)) == fresh
+
+
+def test_concurrent_bruteforce_calls_get_the_sequential_reports():
+    # more threads than cores, switching often: a shared buffer would mix reports
+    group = GroupSpec.power(2, 7)
+    colorings = [cayley_coloring(random_symmetric_partition(
+        group, ("a", "b", "c"), np.random.default_rng(seed))) for seed in range(4)]
+    spec = builtin_52_65()
+    expected = [verify_bruteforce(spec, c, early_exit=False).to_dict() for c in colorings]
+    results = [[] for _ in colorings]
+
+    def work(index):
+        for _ in range(5):
+            results[index].append(
+                verify_bruteforce(spec, colorings[index], early_exit=False).to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(relrep.verify, "_WORKSPACES", _WorkspacePool()):
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(colorings))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[report] * 5 for report in expected]
 
 
 def test_remainder_refuses_counts_uint16_cannot_hold():
