@@ -12,8 +12,8 @@ faults of the warm walk (``ru_minflt`` of the process itself), which are 0
 once the walk's buffers are kept from the cold one.  One line per size lists
 the cold and then the warm milliseconds of every process, sorted, so a stall
 in some processes shows as a second cluster, and then the warm walks' faults.
-The environment passes through,
-so ``OPENBLAS_NUM_THREADS=1`` in front of the command times one-thread BLAS.
+The environment passes through, so ``OPENBLAS_NUM_THREADS=1`` in front of the
+command times one-thread BLAS.
 A script, not a test: it only measures.
 """
 
