@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 IDENTITY = "1'"
 
@@ -171,12 +171,11 @@ def builtin(label: str) -> RaSpec:
                         f"available: {sorted(_BUILTINS)}") from None
 
 
-def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+def content_lines(lines: Iterable[str]) -> list[tuple[int, str]]:
     """(line number from 1, text) of each line that keeps text once a '#' comment
     and the surrounding whitespace are stripped: the input files' one comment grammar."""
-    for lineno, raw in enumerate(lines, 1):
-        if text := raw.split("#", 1)[0].strip():
-            yield lineno, text
+    return [(lineno, text) for lineno, raw in enumerate(lines, 1)
+            if (text := raw.partition("#")[0].strip())]
 
 
 def parse_spec(text: str) -> RaSpec:

@@ -16,18 +16,17 @@ import argparse
 import functools
 import json
 import math
-import secrets
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
+# comer, gf2 and johnson are imported inside the subcommands that run them, so
+# a process loads only its own subcommand's code
 from .algebra import RaSpec, builtin, content_lines, parse_spec
-from .comer import build_59_65_partition, build_scheme, sweep_schemes
-from .gf2 import SearchConfig, parse_bitstrings, search, validate_fixture
 from .groups import ElementSet, GroupSpec, MemoryGuardError, check_memory, first_repeat
-from .johnson import mc_trial, minimal_sufficient_n, probability_bound
 from .verify import (ColoredPartition, StructuralError, cayley_coloring,
                      check_coloring_memory, verify_bruteforce, verify_sumsets)
 
@@ -55,11 +54,12 @@ def load_partition(path, group: GroupSpec | None = None,
     atoms the file never mentions get empty sets: faithfulness then fails at
     verification time, which is a verdict, not a structural error.
     """
-    text = _read_text(path)
     file_group: GroupSpec | None = None
-    atoms: list[str] = []
+    code: dict[str, int] = {}  # atom name -> its number, in order of first use
+    codes: list[int] = []
     texts: list[str] = []
-    for lineno, line in content_lines(text.splitlines()):
+    for lineno, line in content_lines(_read_text(path).splitlines()):
+        parts = line.split()
         if line.startswith("group:"):
             if file_group is not None:
                 raise StructuralError(f"{path}:{lineno}: duplicate group directive")
@@ -69,12 +69,11 @@ def load_partition(path, group: GroupSpec | None = None,
                 raise StructuralError(f"{path}:{lineno}: {exc}") from None
             except MemoryGuardError as exc:
                 raise MemoryGuardError(f"{path}:{lineno}: {exc.detail}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        elif len(parts) != 2:
             raise StructuralError(f"{path}:{lineno}: expected 'atom element', got {line!r}")
-        atoms.append(parts[0])
-        texts.append(parts[1])
+        else:
+            codes.append(code.setdefault(parts[0], len(code)))
+            texts.append(parts[1])
     if group is not None and file_group is not None and group != file_group:
         raise StructuralError(f"--group says {group} but {path} says {file_group}")
     group = group or file_group
@@ -87,16 +86,17 @@ def load_partition(path, group: GroupSpec | None = None,
     repeat = first_repeat(elements)
     if repeat is not None:
         raise StructuralError(f"element {texts[repeat]} is assigned more than once in {path}")
-    names = list(dict.fromkeys(atoms))
     if spec is not None:
         spec_names = [a.name for a in spec.diversity_atoms]
-        unknown = sorted(set(names) - set(spec_names))
+        unknown = sorted(set(code) - set(spec_names))
         if unknown:
             raise StructuralError(f"partition names atoms {unknown} that "
                                   f"{spec.label or 'the spec'} does not have")
-        names += [name for name in spec_names if name not in names]
-    column = np.array(atoms, dtype=str)
-    sets = {name: ElementSet.from_indices(group, elements[column == name]) for name in names}
+        for name in spec_names:
+            code.setdefault(name, -1)  # no line names it: an empty set
+    atom_of = np.array(codes, dtype=np.intp)
+    sets = {name: ElementSet.from_indices(group, elements[atom_of == i])
+            for name, i in code.items()}
     return ColoredPartition(group, sets)  # validates gap/zero/symmetry
 
 
@@ -128,7 +128,9 @@ def _verify(spec: RaSpec, part: ColoredPartition, methods: tuple[str, ...],
 
 
 def _effective_seed(value: int | None) -> int:
-    return secrets.randbelow(2**32) if value is None else value
+    """The given seed, or a uniform one in [0, 2^32) from os.urandom (the secrets
+    module would load OpenSSL's libcrypto through hashlib for the same draw)."""
+    return int.from_bytes(os.urandom(4), "big") if value is None else value
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -158,6 +160,8 @@ def _cmd_verify_group_rep(args) -> tuple[dict, int]:
 
 
 def _cmd_comer(args) -> tuple[dict, int]:
+    from .comer import build_scheme, sweep_schemes
+
     if args.p is None and args.sweep_max_p is None:
         raise StructuralError("either --p or --sweep-max-p is required")
     if args.sweep_max_p is not None:
@@ -170,6 +174,8 @@ def _cmd_comer(args) -> tuple[dict, int]:
 
 
 def _cmd_build_59(args) -> tuple[dict, int]:
+    from .comer import build_59_65_partition, build_scheme
+
     check_coloring_memory(args.p, 3)  # the brute force's charge, before any other work
     scheme = build_scheme(args.p, 8, args.g)
     part = build_59_65_partition(scheme)
@@ -184,15 +190,21 @@ def _cmd_build_59(args) -> tuple[dict, int]:
 
 
 def _cmd_johnson_bound(args) -> tuple[dict, int]:
+    from .johnson import minimal_sufficient_n, probability_bound
+
     return {"rows": [probability_bound(n).to_dict() for n in range(3, args.max_n + 1)],
             "first_below_one": minimal_sufficient_n()}, EXIT_OK
 
 
 def _cmd_johnson_mc(args) -> tuple[dict, int]:
+    from .johnson import mc_trial
+
     return mc_trial(args.n, args.trials, _effective_seed(args.seed)).to_dict(), EXIT_OK
 
 
 def _cmd_search_gf2(args) -> tuple[dict, int]:
+    from .gf2 import SearchConfig, parse_bitstrings, search
+
     initial = (tuple(parse_bitstrings(_read_text(args.seed_fixture).splitlines(),
                                       args.k)) if args.seed_fixture else ())
     config = SearchConfig(k=args.k, target_order=args.target_order,
@@ -203,6 +215,8 @@ def _cmd_search_gf2(args) -> tuple[dict, int]:
 
 
 def _cmd_validate_fixture(args) -> tuple[dict, int]:
+    from .gf2 import validate_fixture
+
     result = validate_fixture(_read_text(args.path).splitlines())
     return result.to_dict(), EXIT_OK if result.passed else EXIT_REJECT
 

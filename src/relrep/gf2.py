@@ -11,9 +11,9 @@ restart search with greedy basis growth and optional backtracking.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -54,6 +54,8 @@ def parse_bitstrings(lines, k: int) -> list[int]:
 
 def shipped_subgroup_bitstrings() -> list[str]:
     """The bundled 63-element fixture for k = 10 (data/h52_k10.txt)."""
+    from importlib import resources  # loaded only by the callers of the fixture
+
     text = resources.files("relrep.data").joinpath("h52_k10.txt").read_text()
     return [line for _, line in content_lines(text.splitlines())]
 
@@ -78,15 +80,6 @@ class PrecheckReport:
     passed: bool
 
 
-def _identity_check(name: str, actual: ElementSet, expected: ElementSet) -> IdentityCheck:
-    if actual == expected:
-        return IdentityCheck(name, True, f"holds with {len(actual)} elements")
-    missing = expected - actual
-    extra = actual - expected
-    return IdentityCheck(name, False,
-                         f"{len(missing)} missing, {len(extra)} unexpected")
-
-
 @functools.lru_cache(maxsize=None)
 def precheck(k: int, t: int) -> PrecheckReport:
     """Exact sumset identities the weight split must satisfy before any search.
@@ -94,6 +87,10 @@ def precheck(k: int, t: int) -> PrecheckReport:
     X = weights 1..t and C = weights t+1..k must give X+X = G,
     X+C = G\\{0} and C+C = G\\C (C maximal sum-free).  The answer depends on
     (k, t) alone, so it is computed once per pair; the report is immutable.
+    Every set compared is a union of weight classes (see below), so each is
+    held here as a mask over the weights 0..k and sized by binomials, with no
+    group element: the three sumsets over (Z/2)^k would take three 2^k-point
+    transforms.  The dense sumset version is the test oracle.
 
     The three hold exactly when 3t = 2(k - 1), so only at
     t = default_threshold(k) and only for k = 1 (mod 3), k >= 4.  Proof:
@@ -117,20 +114,34 @@ def precheck(k: int, t: int) -> PrecheckReport:
     weights 1..t + 1, (t, t + 2) the even weights 2..t, and (1, w - 1) with
     o = 0 each w in t + 2..k.
     """
-    group = GroupSpec.power(2, k)
     if not 1 <= t < k:
         raise ValueError(f"threshold t = {t} must satisfy 1 <= t < k = {k}")
-    low = weight_class(group, 1, t)
-    high = weight_class(group, t + 1, k)
-    everything = ElementSet.full(group)
-    nonzero = everything - ElementSet.singleton(group, 0)
-    checks = (
-        _identity_check("X+X = G", sumset(low, low), everything),
-        _identity_check("X+C = G minus 0", sumset(low, high), nonzero),
-        _identity_check("C+C = G minus C", sumset(high, high), everything - high),
-    )
-    return PrecheckReport(k, t, len(low), len(high), checks,
-                          all(c.holds for c in checks))
+    binomials = np.array([math.comb(k, w) for w in range(k + 1)], dtype=object)
+    width = k + 4 - k % 2  # even, and past the largest range end k + 2
+
+    def plus(a_lo, a_hi, b_lo, b_hi):
+        # the weights of (weights a_lo..a_hi) + (weights b_lo..b_hi): a pair (a, b = s - a)
+        # reaches |a - b|..min(s, 2k - s) in steps of 2; the pairs of one sum s share
+        # that top, so they reach it from the smallest |2a - s|
+        s = np.arange(a_lo + b_lo, a_hi + b_hi + 1)
+        nearest = np.clip(s // 2, np.maximum(a_lo, s - b_hi), np.minimum(a_hi, s - b_lo))
+        bottom, top = np.abs(2 * nearest - s), np.minimum(s, 2 * k - s)
+        steps = np.bincount(bottom, minlength=width) - np.bincount(top + 2, minlength=width)
+        return steps.reshape(-1, 2).cumsum(axis=0).ravel()[:k + 1] > 0  # per parity
+
+    def check(name, actual, expected):
+        if (actual == expected).all():
+            return IdentityCheck(name, True, f"holds with {binomials[actual].sum()} elements")
+        return IdentityCheck(name, False, f"{binomials[expected & ~actual].sum()} missing, "
+                                          f"{binomials[actual & ~expected].sum()} unexpected")
+
+    weights = np.arange(k + 1)
+    high = weights > t
+    checks = (check("X+X = G", plus(1, t, 1, t), weights >= 0),
+              check("X+C = G minus 0", plus(1, t, t + 1, k), weights > 0),
+              check("C+C = G minus C", plus(t + 1, k, t + 1, k), ~high))
+    return PrecheckReport(k, t, int(binomials[1:t + 1].sum()), int(binomials[high].sum()),
+                          checks, all(c.holds for c in checks))
 
 
 # -- incremental basis maintenance -------------------------------------------
@@ -418,11 +429,11 @@ def search(config: SearchConfig) -> SearchOutcome:
     Identical configs give identical outcomes.
     """
     t, target = default_threshold(config.k), config.target_order
+    group = GroupSpec.power(2, config.k)  # refuses a group over the memory budget first
     pre = precheck(config.k, t)
     if not pre.passed:
         failed = [c.name for c in pre.checks if not c.holds]
         raise ValueError(f"weight-class precheck failed for k={config.k}, t={t}: {failed}")
-    group = GroupSpec.power(2, config.k)
     low = _weight_split(group)[0]
     start = _fold_initial(initial_state(group, low), config.initial_elements)
     spec = builtin_52_65()

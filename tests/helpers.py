@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 
 from relrep import (ColoredPartition, ElementSet, GroupSpec, PrecheckReport,
                     cayley_coloring, equivalence_classes, induced_partition,
-                    parse_bitstrings)
+                    parse_bitstrings, sumset, weight_class)
 from relrep.gf2 import IdentityCheck
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,41 +60,26 @@ def fixture_classes_oracle(bitstrings):
     return size == len(with_zero) and count * len(with_zero) == group.order, count, size
 
 
-@functools.cache
-def _binomials(k: int) -> np.ndarray:
-    return np.array([math.comb(k, w) for w in range(k + 1)], dtype=object)
+def _identity_check(name: str, actual: ElementSet, expected: ElementSet) -> IdentityCheck:
+    if actual == expected:
+        return IdentityCheck(name, True, f"holds with {len(actual)} elements")
+    return IdentityCheck(name, False, f"{len(expected - actual)} missing, "
+                                      f"{len(actual - expected)} unexpected")
 
 
-def weight_class_precheck(k: int, t: int) -> PrecheckReport:
-    """``precheck(k, t)`` from weight arithmetic alone, with no group element.
+def dense_precheck(k: int, t: int) -> PrecheckReport:
+    """``precheck(k, t)`` from the three sumsets over (Z/2)^k themselves.
 
-    Vectors of weights a and b that share o ones sum to weight a + b - 2o, for
-    every o from max(0, a + b - k) to min(a, b).  Every set the precheck compares
-    is a union of weight classes, held here as a mask over the weights 0..k; a
-    set's size is the sum of its classes' binomials.
+    The oracle of ``precheck``, which derives the same report, detail strings
+    included, from weight arithmetic alone: X = weights 1..t and C = weights
+    t+1..k must give X+X = G, X+C = G minus 0 and C+C = G minus C.
     """
-    binomials = _binomials(k)
-    weights = np.arange(k + 1)
-    width = k + 4 - k % 2  # even, and past the largest range end k + 2
-
-    def plus(a_lo, a_hi, b_lo, b_hi):
-        # a pair (a, b = s - a) reaches |a - b|..min(s, 2k - s) in steps of 2; the
-        # pairs of one sum s share that top, so they reach it from the smallest |2a - s|
-        s = np.arange(a_lo + b_lo, a_hi + b_hi + 1)
-        nearest = np.clip(s // 2, np.maximum(a_lo, s - b_hi), np.minimum(a_hi, s - b_lo))
-        bottom, top = np.abs(2 * nearest - s), np.minimum(s, 2 * k - s)
-        steps = np.bincount(bottom, minlength=width) - np.bincount(top + 2, minlength=width)
-        return steps.reshape(-1, 2).cumsum(axis=0).ravel()[:k + 1] > 0  # per parity
-
-    def check(name, actual, expected):
-        if (actual == expected).all():
-            return IdentityCheck(name, True, f"holds with {binomials[actual].sum()} elements")
-        return IdentityCheck(name, False, f"{binomials[expected & ~actual].sum()} missing, "
-                                          f"{binomials[actual & ~expected].sum()} unexpected")
-
-    high = weights > t
-    checks = (check("X+X = G", plus(1, t, 1, t), weights >= 0),
-              check("X+C = G minus 0", plus(1, t, t + 1, k), weights > 0),
-              check("C+C = G minus C", plus(t + 1, k, t + 1, k), ~high))
-    return PrecheckReport(k, t, binomials[1:t + 1].sum(), binomials[high].sum(), checks,
-                          all(c.holds for c in checks))
+    group = GroupSpec.power(2, k)
+    low = weight_class(group, 1, t)
+    high = weight_class(group, t + 1, k)
+    everything = ElementSet.full(group)
+    nonzero = everything - ElementSet.singleton(group, 0)
+    checks = (_identity_check("X+X = G", sumset(low, low), everything),
+              _identity_check("X+C = G minus 0", sumset(low, high), nonzero),
+              _identity_check("C+C = G minus C", sumset(high, high), everything - high))
+    return PrecheckReport(k, t, len(low), len(high), checks, all(c.holds for c in checks))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import FIXTURES, REPO_ROOT
 import peak_rss
 from relrep import GroupSpec, StructuralError
+import relrep.gf2
 import relrep.groups
 from relrep import cli
 from relrep.cli import (EXIT_ERROR, EXIT_OK, EXIT_REJECT, load_partition, main,
@@ -354,7 +355,28 @@ def test_johnson_mc_json_bytes_pinned(capsys, seed):
 def test_johnson_mc_derives_and_echoes_seed(capsys):
     code, payload, _ = run_json(capsys, "johnson-mc", "--n", "5", "--trials", "0")
     assert code == EXIT_OK
-    assert isinstance(payload["seed"], int)
+    assert isinstance(payload["seed"], int) and 0 <= payload["seed"] < 2**32
+
+
+def test_search_gf2_derives_echoes_and_reproduces_its_seed(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "search-gf2", "--k", "7",
+                           "--restarts", "1")
+    seed = json.loads(out)["seed"]
+    assert isinstance(seed, int) and 0 <= seed < 2**32
+    assert run_cli(capsys, "--format", "json", "search-gf2", "--k", "7", "--restarts", "1",
+                   "--seed", str(seed))[:2] == (code, out)
+
+
+@pytest.mark.parametrize("drawn, seed", [(b"\x00" * 4, 0), (b"\xff" * 4, 2**32 - 1),
+                                         (b"\x01\x02\x03\x04", 0x01020304)])
+def test_derived_seed_is_four_urandom_bytes(monkeypatch, drawn, seed):
+    def urandom(size):
+        assert size == 4  # 32 bits: the range secrets.randbelow(2**32) drew from
+        return drawn
+
+    monkeypatch.setattr(cli.os, "urandom", urandom)
+    assert cli._effective_seed(None) == seed
+    assert cli._effective_seed(7) == 7
 
 
 def test_johnson_mc_rejects_n4(capsys):
@@ -440,7 +462,7 @@ def test_internal_errors_exit_2_not_reject(capsys, monkeypatch, error):
     def broken(config):
         raise error("invariant broken")
 
-    monkeypatch.setattr(cli, "search", broken)
+    monkeypatch.setattr(relrep.gf2, "search", broken)  # search-gf2 imports it when run
     code, out, err = run_cli(capsys, "search-gf2", "--k", "7", "--seed", "1")
     assert code == EXIT_ERROR and not out
     assert err.startswith("error:") and "invariant broken" in err

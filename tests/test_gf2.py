@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REPO_ROOT, fixture_classes_oracle, weight_class_precheck
+from helpers import REPO_ROOT, dense_precheck, fixture_classes_oracle
 from relrep import gf2, groups
 from relrep.cli import EXIT_REJECT, main
 
@@ -57,17 +57,18 @@ def test_precheck_k13_default_threshold_passes():
 
 
 def test_precheck_passes_exactly_where_3t_is_2k_minus_2():
-    # the proof in precheck's docstring, checked densely and by weight arithmetic
+    # the proof in precheck's docstring, checked by weight arithmetic and densely
     for k in range(2, 17):
         for t in range(1, k):
             report = precheck(k, t)
             assert report.passed == (3 * t == 2 * (k - 1)), (k, t)
-            assert weight_class_precheck(k, t) == report, (k, t)
+            assert dense_precheck(k, t) == report, (k, t)
+            assert type(report.low_size) is int and type(report.high_size) is int
 
 
 def test_weight_class_precheck_passes_on_the_same_line_up_to_k_200():
     passing = {(k, t) for k in range(2, 201) for t in range(1, k)
-               if weight_class_precheck(k, t).passed}
+               if precheck(k, t).passed}
     assert passing == {(k, default_threshold(k)) for k in range(4, 201, 3)}
 
 
@@ -91,10 +92,10 @@ def test_precheck_validation():
 def test_precheck_is_computed_once_per_k_and_t(monkeypatch):
     first = precheck(9, 5)
 
-    def no_sumset(*args):
-        raise AssertionError("precheck recomputed a sumset")
+    def no_check(*args):
+        raise AssertionError("precheck recomputed its identity checks")
 
-    monkeypatch.setattr(gf2, "sumset", no_sumset)
+    monkeypatch.setattr(gf2, "IdentityCheck", no_check)
     assert precheck(9, 5) is first
     for _ in range(2):  # a failed call is not cached: it raises every time
         with pytest.raises(ValueError):
