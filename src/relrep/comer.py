@@ -113,7 +113,8 @@ def build_59_65_partition(scheme: CosetScheme) -> ColoredPartition:
     a = scheme.cosets[1]
     for i in range(2, 6):
         a = a | scheme.cosets[i]
-    return ColoredPartition(scheme.group, {
+    # build_scheme's cosets partition Z/p minus 0, and each is symmetric (checked above)
+    return ColoredPartition._wrap(scheme.group, {
         "a": a,
         "b": scheme.cosets[0],
         "c": scheme.cosets[6] | scheme.cosets[7],

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import builtin_52_65, content_lines
 from .groups import (ElementSet, GroupSpec, first_repeat, hamming_weights, sumset,
                      weight_class)
-from .verify import ColoredPartition, VerificationReport, verify_sumsets
+from .verify import ColoredPartition, StructuralError, VerificationReport, verify_sumsets
 
 
 def default_threshold(k: int) -> int:
@@ -253,12 +253,20 @@ class FixtureValidation:
 
 
 def induced_partition(group: GroupSpec, subgroup_elements: ElementSet) -> ColoredPartition:
-    """52_65-style coloring: b = H\\{0}, a = rest of the low shell, c = high."""
+    """52_65-style coloring: b = H\\{0}, a = rest of the low shell, c = high.
+
+    Raises StructuralError unless H minus 0 lies inside the low shell.  Then
+    a, b and c partition G minus 0, and each is symmetric, as every element
+    of (Z/2)^k is its own negation, so the partition is built unvalidated.
+    """
     low, high = _weight_split(group)
-    b_mask = subgroup_elements.mask.copy()
-    b_mask[0] = False
-    b = ElementSet(group, b_mask)
-    return ColoredPartition(group, {"a": low - b, "b": b, "c": high})
+    b = subgroup_elements & low  # all of H but 0 exactly when the precondition holds
+    if len(b) + bool(subgroup_elements.mask[0]) != len(subgroup_elements):
+        outside = (subgroup_elements & high).indices()[0]
+        raise StructuralError(
+            f"element {group.format_element(int(outside))} has weight above "
+            f"t = {default_threshold(group.rank)}, outside the low shell")
+    return ColoredPartition._wrap(group, {"a": low - b, "b": b, "c": high})
 
 
 def validate_fixture(bitstrings) -> FixtureValidation:

@@ -177,14 +177,27 @@ class VerificationReport:
 class ColoredPartition:
     """Diversity atom names assigned to symmetric subsets partitioning G minus 0.
 
-    Validated once, at construction; ``assignment`` is a read-only mapping,
-    so an instance stays valid for its whole life.
+    Validated once; ``assignment`` is a read-only mapping, so an instance stays
+    valid for its whole life.  The public constructor validates, and so every
+    partition read from user input (``cli.load_partition``) is checked.
+    ``gf2.induced_partition`` and ``comer.build_59_65_partition`` build theirs
+    through ``_wrap`` and are trusted: each builds a partition that is valid by
+    construction once its own precondition holds, which it checks, and the
+    tests call ``validate`` on their output.
     """
 
     def __init__(self, group: GroupSpec, assignment: Mapping[str, ElementSet]):
         self.group = group
         self.assignment = MappingProxyType(dict(assignment))
         self.validate()
+
+    @classmethod
+    def _wrap(cls, group: GroupSpec, assignment: Mapping[str, ElementSet]) -> "ColoredPartition":
+        """Keep a freshly built, valid assignment without validating it."""
+        obj = object.__new__(cls)
+        obj.group = group
+        obj.assignment = MappingProxyType(dict(assignment))
+        return obj
 
     def validate(self) -> None:
         cover = np.zeros(self.group.order, dtype=np.int32)
@@ -569,14 +582,26 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
     Accepts iff for each unordered diversity pair (j, k) the sumset
     S_j + S_k equals the union of the profile atoms' sets, with 0 included
     exactly when j = k, and every atom is nonempty (faithfulness).
+
+    A pair is checked by counts, as in ``verify_bruteforce``: hits_i, the
+    elements of S_i that S_j + S_k reaches, gives the actual atoms (hits_i > 0),
+    a MISSING total |S_i| - hits_i for a profile atom and a FORBIDDEN total
+    hits_i for any other.  The atoms cover G minus 0 once, so the sumset equals
+    its expected set exactly when 0 is reached iff j = k and every total is 0.
+    The missing or reached elements of an atom are located only while the
+    report lists them.
     """
     names = _check_atoms_match(spec, list(part.assignment))
     group = part.group
     report = VerificationReport("sumsets", early_exit, max_recorded)
     sets = part.assignment
 
-    def elements(mask: np.ndarray):
-        return (group.format_element(int(e)) for e in np.flatnonzero(mask))
+    def located(name: str, reached: np.ndarray, missed: bool):
+        """Yield the formatted elements of the atom that reached misses (or
+        hits); a generator, so the mask is built only once an element is drawn."""
+        mask = sets[name].mask & (~reached if missed else reached)
+        for e in np.flatnonzero(mask):
+            yield group.format_element(int(e))
 
     empty = [name for name in names if len(sets[name]) == 0]
     report.record(EMPTY_ATOM, None, empty, len(empty))
@@ -585,29 +610,22 @@ def verify_sumsets(spec: RaSpec, part: ColoredPartition, *,
         if report.stopped:
             break
         # each atom's transform is computed by its first sumset and kept
-        actual = sumset(sets[j], sets[k])
-        has_zero = 0 in actual
+        reached = sumset(sets[j], sets[k]).mask
+        has_zero = bool(reached[0])
         if sets[j] and sets[k] and has_zero != include_zero:
             # structurally guaranteed; a failure here is a sumset bug
             raise AssertionError("zero membership inconsistent with structure")
-        expected = np.zeros(group.order, dtype=bool)
-        for name in profile_names:
-            expected |= sets[name].mask
-        if include_zero:
-            expected[0] = True
-        actual_atoms = tuple(n for n in names if bool(sets[n] & actual))
-        ok = bool(np.array_equal(expected, actual.mask))
+        hits = {i: int(np.count_nonzero(sets[i].mask & reached)) for i in names}
+        missing = {i: len(sets[i]) - hits[i] for i in profile_names}
+        forbidden = {i: hits[i] for i in names if i not in profile_names}
+        ok = (has_zero == include_zero and not any(missing.values())
+              and not any(forbidden.values()))
         report.pair_checks.append(PairCheck(j, k, profile_names, include_zero,
-                                            actual_atoms, has_zero, ok))
-        if ok:
-            continue
-        for i in profile_names:
-            missing = sets[i].mask & ~actual.mask
-            report.record(MISSING_WITNESS, (i, j, k), elements(missing), int(missing.sum()))
-        for i in names:
-            if i not in profile_names:
-                extra = sets[i].mask & actual.mask
-                report.record(FORBIDDEN_REALIZED, (i, j, k), elements(extra), int(extra.sum()))
+                                            tuple(i for i in names if hits[i]), has_zero, ok))
+        for i, total in missing.items():
+            report.record(MISSING_WITNESS, (i, j, k), located(i, reached, True), total)
+        for i, total in forbidden.items():
+            report.record(FORBIDDEN_REALIZED, (i, j, k), located(i, reached, False), total)
         if include_zero and not has_zero:
             # only possible when S_j is empty; the check above rules out 0 where j != k
             report.record(MISSING_WITNESS, (IDENTITY, j, k), [group.format_element(0)], 1)

@@ -80,6 +80,14 @@ def test_59_65_partition_bullets_hold_verbatim():
     assert sumset(c, c) == everything
 
 
+@pytest.mark.parametrize("p", [17, 97, 113, 193])
+def test_59_65_partition_is_a_valid_partition(p):
+    # the builder skips the partition check, so its output is checked here
+    part = build_59_65_partition(build_scheme(p, 8))
+    part.validate()
+    assert list(part.assignment) == ["a", "b", "c"]
+
+
 def test_59_65_partition_verifies():
     part = build_59_65_partition(build_scheme(113, 8))
     assert verify_sumsets(builtin_59_65(), part).accepted

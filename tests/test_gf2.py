@@ -14,8 +14,8 @@ from relrep import gf2, groups
 from relrep.cli import EXIT_REJECT, main
 
 from relrep import (BasisState, ElementSet, ExtensionRejected, GroupSpec,
-                    SearchConfig, builtin_52_65, default_threshold, extend_basis,
-                    hamming_weights, induced_partition, initial_state,
+                    SearchConfig, StructuralError, builtin_52_65, default_threshold,
+                    extend_basis, hamming_weights, induced_partition, initial_state,
                     parse_bitstrings, precheck, search,
                     shipped_subgroup_bitstrings, span, sumset, sumset_reference,
                     validate_fixture, verify_sumsets, weight_class)
@@ -212,6 +212,37 @@ def test_shipped_fixture_passes_all_four_checks():
     assert payload["classes_ok"]
     assert payload["class_count"] == 16 and payload["class_size"] == 64
     assert payload["verdict"] == "accept"
+
+
+def test_induced_partition_refuses_an_element_above_the_low_shell():
+    # the builder skips the partition check, so it checks its precondition itself
+    group = GroupSpec.power(2, 10)
+    heavy = group.parse_element("1111111000")  # weight 7 > t = 6
+    h = ElementSet.from_indices(group, [0, group.parse_element("0110000000"), heavy,
+                                        group.parse_element("0110000000") ^ heavy])
+    with pytest.raises(StructuralError, match="1111111000 has weight above t = 6"):
+        induced_partition(group, h)
+
+
+def _shipped_subgroup():
+    group = GroupSpec.power(2, 10)
+    return group, span(group, parse_bitstrings(shipped_subgroup_bitstrings(), 10)).elements
+
+
+@pytest.mark.parametrize("k", [None, 7, 10, 13])
+def test_induced_partition_output_is_a_valid_partition(k):
+    # the builder skips the partition check, so its output is checked here: on
+    # the shipped k = 10 subgroup (None) and on seeded search subgroups
+    if k is None:
+        group, h = _shipped_subgroup()
+    else:
+        out = search(SearchConfig(k=k, seed=1, restarts=2))
+        group = GroupSpec.power(2, k)
+        h = span(group, out.basis).elements
+    part = induced_partition(group, h)
+    part.validate()
+    assert list(part.assignment) == ["a", "b", "c"]
+    assert len(part.assignment["b"]) == len(h) - 1
 
 
 def test_repo_fixture_file_matches_package_data(fixtures_dir):
@@ -568,10 +599,13 @@ PINNED = REPO_ROOT / "tests" / "pinned"
     ("k13_seed2", ("--k", "13", "--restarts", "1", "--seed", "2")),
     ("k16_seed1", ("--k", "16", "--restarts", "1", "--seed", "1")),
     ("k19_seed1", ("--k", "19", "--restarts", "1", "--seed", "1")),
+    ("k13_restarts8_seed1", ("--k", "13", "--restarts", "8", "--seed", "1")),
 ])
 def test_search_gf2_json_bytes_pinned(capsys, name, argv):
     # k <= 13 recorded with the search that called extend_basis once per
-    # candidate, k = 16 and 19 with the batched block scan before the kept mask
+    # candidate, k = 16 and 19 with the batched block scan before the kept mask;
+    # k13_restarts8, whose tying restarts are each verified, with the sumset
+    # verifier that compared whole masks before it checked pairs by counts
     code = main(["--format", "json", "search-gf2", *argv])
     out = capsys.readouterr().out
     assert code == EXIT_REJECT

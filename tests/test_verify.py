@@ -25,7 +25,7 @@ import relrep.verify
 from relrep.algebra import IDENTITY
 from relrep.groups import MemoryGuardError
 from relrep.verify import (EMPTY_ATOM, FORBIDDEN_REALIZED, MISSING_WITNESS,
-                           PairCheck, VerificationReport, _degrees, _packed_digits,
+                           PairCheck, VerificationReport, Violation, _degrees, _packed_digits,
                            _reach_bits, _ROW_BLOCK_CELLS, _split_digits,
                            _subtract_transposed, _tile_buffers, _true_cells,
                            _witness_tiles, _Workspace, _WorkspacePool,
@@ -195,6 +195,56 @@ def test_verify_sumsets_matches_a_per_pair_walk(group, spec, early_exit, max_rec
     report = verify_sumsets(spec, part, early_exit=early_exit, max_recorded=max_recorded)
     oracle = _pairwise_sumsets(spec, part, early_exit, max_recorded)
     assert report.to_dict() == oracle.to_dict()
+
+
+def test_verify_sumsets_empty_atom_fails_its_own_pair_by_the_missing_zero_only():
+    # 52_65 has profile (b,) at (b, b): with b empty every count is 0, and only
+    # 0, which include_zero asks for, is missing
+    g = GroupSpec.cyclic(7)
+    part = ColoredPartition(g, {"a": ElementSet.from_indices(g, [1, 6]),
+                                "b": ElementSet.empty(g),
+                                "c": ElementSet.from_indices(g, [2, 3, 4, 5])})
+    report = verify_sumsets(builtin_52_65(), part)
+    assert report.to_dict() == _pairwise_sumsets(builtin_52_65(), part, False, 100).to_dict()
+    bb = next(p for p in report.pair_checks if (p.left, p.right) == ("b", "b"))
+    assert (bb.actual_atoms, bb.actual_has_zero, bb.ok) == ((), False, False)
+    assert report.counts_by_cycle["1',b,b"] == 1
+    assert not any(key.endswith(",b,b") and key != "1',b,b" for key in report.counts_by_cycle)
+    assert Violation(MISSING_WITNESS, (IDENTITY, "b", "b"), "0") in report.violations
+
+
+@pytest.mark.parametrize("max_recorded", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_sumsets_early_exit_with_little_room(max_recorded, seed):
+    part = random_symmetric_partition(GroupSpec.power(2, 5), ("a", "b", "c"),
+                                      np.random.default_rng(seed), allow_empty=False)
+    with mock.patch.object(GroupSpec, "format_element",
+                           autospec=True, side_effect=GroupSpec.format_element) as fmt:
+        report = verify_sumsets(builtin_52_65(), part, early_exit=True,
+                                max_recorded=max_recorded)
+    assert report.to_dict() == _pairwise_sumsets(builtin_52_65(), part, True,
+                                                 max_recorded).to_dict()
+    assert not report.accepted and report.truncated
+    assert len(report.violations) == max_recorded
+    # elements are located only while the report lists them
+    assert fmt.call_count == max_recorded
+
+
+def test_verify_sumsets_pair_with_a_partial_profile_atom_and_a_forbidden_atom():
+    # over Z/9, a + b = {2, ..., 7}: of its profile (a, c), a is reached at 2 and
+    # 7 only and c fully, and b, outside the profile, is reached too
+    g = GroupSpec.cyclic(9)
+    part = ColoredPartition(g, {"a": ElementSet.from_indices(g, [1, 2, 7, 8]),
+                                "b": ElementSet.from_indices(g, [4, 5]),
+                                "c": ElementSet.from_indices(g, [3, 6])})
+    report = verify_sumsets(builtin_52_65(), part)
+    assert report.to_dict() == _pairwise_sumsets(builtin_52_65(), part, False, 100).to_dict()
+    ab = next(p for p in report.pair_checks if (p.left, p.right) == ("a", "b"))
+    assert (ab.actual_atoms, ab.actual_has_zero, ab.ok) == (("a", "b", "c"), False, False)
+    assert report.counts_by_cycle["a,a,b"] == 2 and report.counts_by_cycle["b,a,b"] == 2
+    assert "c,a,b" not in report.counts_by_cycle
+    assert [v.where for v in report.violations if v.cycle == ("a", "a", "b")] == ["1", "8"]
+    assert [v.where for v in report.violations if v.cycle == ("b", "a", "b")] == ["4", "5"]
 
 
 def test_verify_sumsets_transforms_each_atom_once():
